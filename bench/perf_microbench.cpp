@@ -157,7 +157,7 @@ BENCHMARK_CAPTURE(BM_LargeNDispatch, threshold_bucketed, "threshold:all:3",
 // interleaved sync (sync_all_to steps every dispatcher's pending refresh
 // boundaries in global time order), a bucketed basic_li decision against
 // the picked dispatcher's own board, and the cluster assignment. D = 1 is
-// the legacy single-board arrival cost; the D sweep prices the scale-out
+// the single-dispatcher arrival cost; the D sweep prices the scale-out
 // overhead, which is the board fan-out (D refreshes per interval), not the
 // per-decision work.
 void BM_MultiDispatcherDispatch(benchmark::State& state) {
@@ -165,7 +165,6 @@ void BM_MultiDispatcherDispatch(benchmark::State& state) {
   constexpr int kServers = 100'000;
   stale::sim::Rng rng(7);
   stale::queueing::Cluster cluster(kServers);
-  cluster.enable_lazy_advance();  // the engine's own large-n configuration
   stale::dispatch::DispatcherSet boards(d_count, kServers,
                                         /*update_interval=*/1.0,
                                         /*use_individual=*/false, rng);

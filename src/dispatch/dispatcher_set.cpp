@@ -60,109 +60,184 @@ double ArrivalSplitter::share(int dispatcher) const {
 DispatcherSet::DispatcherSet(int num_dispatchers, int num_servers,
                              double update_interval, bool use_individual,
                              sim::Rng& rng)
-    : use_individual_(use_individual) {
+    : size_(num_dispatchers),
+      model_(use_individual ? Model::kIndividual : Model::kPeriodic),
+      update_interval_(update_interval) {
   if (num_dispatchers < 1) {
     throw std::invalid_argument("DispatcherSet: need at least one dispatcher");
   }
-  periodic_.reserve(static_cast<std::size_t>(num_dispatchers));
-  individual_.reserve(static_cast<std::size_t>(num_dispatchers));
-  for (int d = 0; d < num_dispatchers; ++d) {
-    // De-phased periodic schedules: dispatcher d refreshes at d*T/D + k*T,
-    // so the D staleness clocks tile the interval instead of going stale in
-    // lockstep. d == 0 keeps offset 0 — the legacy schedule.
-    const double offset = update_interval * static_cast<double>(d) /
-                          static_cast<double>(num_dispatchers);
-    periodic_.emplace_back(num_servers, update_interval, offset);
-    sim::Rng offsets_rng = rng.split();
-    individual_.emplace_back(num_servers, update_interval, offsets_rng);
+  const auto count = static_cast<std::size_t>(num_dispatchers);
+  if (use_individual) {
+    individual_.reserve(count);
+  } else {
+    periodic_.reserve(count);
   }
+  for (int d = 0; d < num_dispatchers; ++d) {
+    sim::Rng offsets_rng = rng.split();
+    if (use_individual) {
+      individual_.emplace_back(num_servers, update_interval, offsets_rng);
+    } else {
+      // De-phased periodic schedules: dispatcher d refreshes at d*T/D + k*T,
+      // so the D staleness clocks tile the interval instead of going stale
+      // in lockstep. d == 0 keeps offset 0, the classic k*T schedule.
+      periodic_.emplace_back(num_servers, update_interval,
+                             update_interval * static_cast<double>(d) /
+                                 static_cast<double>(num_dispatchers));
+    }
+  }
+}
+
+void DispatcherSet::enable_continuous_views(loadinfo::DelayKind kind,
+                                            bool know_actual_age,
+                                            double extra_delay_allowance) {
+  model_ = Model::kContinuous;
+  periodic_.clear();
+  individual_.clear();
+  views_.reserve(static_cast<std::size_t>(size_));
+  for (int d = 0; d < size_; ++d) {
+    views_.emplace_back(kind, update_interval_, know_actual_age,
+                        extra_delay_allowance);
+  }
+  STALE_DCHECK(views_.size() == static_cast<std::size_t>(size_));
 }
 
 const std::vector<int>& DispatcherSet::loads(int d) const {
   const auto i = static_cast<std::size_t>(d);
-  return use_individual_ ? individual_[i].loads() : periodic_[i].loads();
+  switch (model_) {
+    case Model::kPeriodic:
+      return periodic_[i].loads();
+    case Model::kIndividual:
+      return individual_[i].loads();
+    case Model::kContinuous:
+      return views_[i].loads();
+  }
+  throw std::logic_error("DispatcherSet: bad model");
 }
 
 double DispatcherSet::age(int d, double t) const {
   const auto i = static_cast<std::size_t>(d);
-  return use_individual_ ? individual_[i].mean_age(t) : periodic_[i].age(t);
+  switch (model_) {
+    case Model::kPeriodic:
+      return periodic_[i].age(t);
+    case Model::kIndividual:
+      return individual_[i].mean_age(t);
+    case Model::kContinuous:
+      return views_[i].reported_age();
+  }
+  throw std::logic_error("DispatcherSet: bad model");
 }
 
 std::uint64_t DispatcherSet::version(int d) const {
   const auto i = static_cast<std::size_t>(d);
-  return use_individual_ ? individual_[i].version() : periodic_[i].version();
+  switch (model_) {
+    case Model::kPeriodic:
+      return periodic_[i].version();
+    case Model::kIndividual:
+      return individual_[i].version();
+    case Model::kContinuous:
+      return views_[i].version();
+  }
+  throw std::logic_error("DispatcherSet: bad model");
 }
 
 const sim::LevelIndex& DispatcherSet::level_index(int d) const {
   const auto i = static_cast<std::size_t>(d);
-  return use_individual_ ? individual_[i].level_index()
-                         : periodic_[i].level_index();
+  switch (model_) {
+    case Model::kPeriodic:
+      return periodic_[i].level_index();
+    case Model::kIndividual:
+      return individual_[i].level_index();
+    case Model::kContinuous:
+      return views_[i].level_index();
+  }
+  throw std::logic_error("DispatcherSet: bad model");
 }
 
 sim::LevelIndex& DispatcherSet::level_index_mut(int d) {
   const auto i = static_cast<std::size_t>(d);
-  return use_individual_ ? individual_[i].level_index_mut()
-                         : periodic_[i].level_index_mut();
+  switch (model_) {
+    case Model::kPeriodic:
+      return periodic_[i].level_index_mut();
+    case Model::kIndividual:
+      return individual_[i].level_index_mut();
+    case Model::kContinuous:
+      break;
+  }
+  throw std::logic_error(
+      "DispatcherSet::level_index_mut: continuous views have no board");
 }
 
-void DispatcherSet::sync_all_to(queueing::Cluster& cluster, double t) {
+double DispatcherSet::next_refresh(std::size_t d) const {
+  return model_ == Model::kIndividual ? individual_[d].next_refresh_at()
+                                      : periodic_[d].next_refresh_at();
+}
+
+void DispatcherSet::sync_all_to(queueing::Cluster& cluster, double t,
+                                loadinfo::RefreshFaults* faults) {
+  if (model_ == Model::kContinuous) return;
+  const auto sync = [&](std::size_t d, double until) {
+    if (model_ == Model::kIndividual) {
+      individual_[d].sync(cluster, until, faults);
+    } else {
+      periodic_[d].sync(cluster, until, faults);
+    }
+  };
   // Interleave the boards' measurement boundaries in global time order by
   // granting the due board a time *slice*: it syncs through every boundary
   // of its own that precedes the next boundary of any other board (or t),
   // so no board's measurement can observe cluster state from another
   // board's future, while each board's own sync() call keeps its internal
   // measure-then-publish discipline intact. At D == 1 the slice is always
-  // t — one sync(cluster, t) per arrival, exactly the legacy engine's call
-  // sequence, which is what keeps one-dispatcher runs bit-identical.
-  const auto next_refresh = [&](int d) {
-    const auto i = static_cast<std::size_t>(d);
-    return use_individual_ ? individual_[i].next_refresh_at()
-                           : periodic_[i].next_refresh_at();
-  };
+  // t: one sync(cluster, t) per arrival with a due boundary.
+  const auto count = static_cast<std::size_t>(size_);
   while (true) {
-    int best = -1;
+    std::size_t best = count;
     double best_time = 0.0;
-    for (int d = 0; d < size(); ++d) {
+    for (std::size_t d = 0; d < count; ++d) {
       const double next = next_refresh(d);
-      if (next <= t && (best < 0 || next < best_time)) {
+      if (next <= t && (best == count || next < best_time)) {
         best = d;
         best_time = next;
       }
     }
-    if (best < 0) break;
+    if (best == count) break;
     // Ties land the slice boundary on best_time itself; sync()'s inclusive
     // bound still processes the due boundary, and the tied board (a higher
     // dispatcher index, by the strict < above) goes next iteration.
     double slice_end = t;
-    for (int d = 0; d < size(); ++d) {
+    for (std::size_t d = 0; d < count; ++d) {
       if (d != best) slice_end = std::min(slice_end, next_refresh(d));
     }
-    const auto i = static_cast<std::size_t>(best);
-    if (use_individual_) {
-      individual_[i].sync(cluster, slice_end);
-    } else {
-      periodic_[i].sync(cluster, slice_end);
-    }
+    sync(best, slice_end);
     STALE_DCHECK(next_refresh(best) > slice_end);
   }
+  // A fault-delayed refresh becomes visible at its publish time, which no
+  // boundary marks: give every board a boundary-free sync to publish it.
+  if (faults != nullptr) {
+    for (std::size_t d = 0; d < count; ++d) sync(d, t);
+  }
+}
+
+void DispatcherSet::observe(int d, const queueing::Cluster& cluster, double t,
+                            sim::Rng& rng, loadinfo::RefreshFaults* faults) {
+  STALE_DCHECK(model_ == Model::kContinuous && cluster.advanced_time() >= t);
+  views_.at(static_cast<std::size_t>(d)).observe(cluster, t, rng, faults);
 }
 
 void DispatcherSet::enable_level_index() {
-  for (int d = 0; d < size(); ++d) {
-    const auto i = static_cast<std::size_t>(d);
-    if (use_individual_) {
-      individual_[i].enable_level_index();
-    } else {
-      periodic_[i].enable_level_index();
-    }
+  for (loadinfo::PeriodicBoard& board : periodic_) board.enable_level_index();
+  for (loadinfo::IndividualBoard& board : individual_) {
+    board.enable_level_index();
   }
+  for (loadinfo::ContinuousView& view : views_) view.enable_level_index();
 }
 
 void DispatcherSet::set_trace_sink(obs::TraceSink* sink) {
-  for (std::size_t i = 0; i < periodic_.size(); ++i) {
-    periodic_[i].set_trace_sink(sink);
-    individual_[i].set_trace_sink(sink);
+  for (loadinfo::PeriodicBoard& board : periodic_) board.set_trace_sink(sink);
+  for (loadinfo::IndividualBoard& board : individual_) {
+    board.set_trace_sink(sink);
   }
+  for (loadinfo::ContinuousView& view : views_) view.set_trace_sink(sink);
 }
 
 }  // namespace stale::dispatch

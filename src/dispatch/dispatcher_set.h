@@ -9,25 +9,27 @@
 //
 //   * ArrivalSplitter — maps one RNG draw to a dispatcher index under the
 //     configured split (uniform, or a linear ramp of weights for the skewed
-//     "weighted" case). At D == 1 it draws nothing, which is what keeps a
-//     one-dispatcher run bit-identical to the legacy single-dispatcher path.
+//     "weighted" case). At D == 1 it draws nothing, so a one-dispatcher run
+//     draws exactly the single-dispatcher sequence.
 //
-//   * DispatcherSet — owns the D board instances (one periodic and one
-//     individual board per dispatcher, mirroring the legacy trial engine,
-//     which constructs both and syncs only the active model). Periodic
-//     boards are de-phased with offset d*T/D; individual boards draw their
-//     per-server offsets from one split() per dispatcher, in dispatcher
-//     order. sync_all_to() interleaves the boards' measurement boundaries in
-//     global time order — syncing board A straight to t would advance the
-//     cluster past board B's earlier boundary and let B measure the future.
+//   * DispatcherSet — owns the D instances of the active information model:
+//     periodic boards de-phased with offset d*T/D, individual boards whose
+//     per-server offsets come from one split() per dispatcher (in dispatcher
+//     order), or per-request continuous views. sync_all_to() interleaves the
+//     boards' measurement boundaries in global time order — syncing board A
+//     straight to t would advance the cluster past board B's earlier
+//     boundary and let B measure the future.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "loadinfo/continuous_view.h"
+#include "loadinfo/delay_distribution.h"
 #include "loadinfo/individual_board.h"
 #include "loadinfo/periodic_board.h"
+#include "loadinfo/refresh_faults.h"
 #include "obs/trace_sink.h"
 #include "queueing/cluster.h"
 #include "sim/rng.h"
@@ -64,41 +66,56 @@ class ArrivalSplitter {
 class DispatcherSet {
  public:
   // Consumes exactly one rng.split() per dispatcher (the individual board's
-  // per-server offsets), regardless of which model is active — the same draw
-  // discipline as the legacy single-dispatcher trial, so D == 1 reproduces
-  // it bit-for-bit.
+  // per-server offsets), whichever model is active, so the draws after it
+  // do not depend on the model.
   DispatcherSet(int num_dispatchers, int num_servers, double update_interval,
                 bool use_individual, sim::Rng& rng);
 
-  int size() const { return static_cast<int>(periodic_.size()); }
-  bool individual_model() const { return use_individual_; }
+  // Switches every dispatcher to its own continuous-update view (paper
+  // Section 3.1): sync_all_to() becomes a no-op and observe() materializes
+  // a dispatcher's view per request. The cluster must keep a history window
+  // of ContinuousView::history_window_for(kind, update_interval) plus
+  // `extra_delay_allowance`.
+  void enable_continuous_views(loadinfo::DelayKind kind, bool know_actual_age,
+                               double extra_delay_allowance);
 
-  loadinfo::PeriodicBoard& periodic(int d) {
-    return periodic_[static_cast<std::size_t>(d)];
-  }
-  loadinfo::IndividualBoard& individual(int d) {
-    return individual_[static_cast<std::size_t>(d)];
-  }
+  int size() const { return size_; }
 
   // Active-model accessors (the board dispatcher d actually reads).
   const std::vector<int>& loads(int d) const;
   double age(int d, double t) const;
   std::uint64_t version(int d) const;
   const sim::LevelIndex& level_index(int d) const;
+  // Board models only (the health layer's quarantine bookkeeping).
   sim::LevelIndex& level_index_mut(int d);
 
   // Brings every active board up to date for an observation at `t`,
   // stepping the boards' pending measurement boundaries in global time
-  // order (ties go to the lowest dispatcher index).
-  void sync_all_to(queueing::Cluster& cluster, double t);
+  // order (ties go to the lowest dispatcher index). `faults` (nullable) may
+  // drop or delay refreshes; delayed ones are published once they arrive.
+  void sync_all_to(queueing::Cluster& cluster, double t,
+                   loadinfo::RefreshFaults* faults = nullptr);
+
+  // Continuous views only: samples dispatcher d's delay from `rng` and
+  // materializes its view for an arrival at `t` (the cluster must already
+  // be advanced to `t`).
+  void observe(int d, const queueing::Cluster& cluster, double t,
+               sim::Rng& rng, loadinfo::RefreshFaults* faults = nullptr);
 
   void enable_level_index();
   void set_trace_sink(obs::TraceSink* sink);
 
  private:
-  bool use_individual_;
+  enum class Model { kPeriodic, kIndividual, kContinuous };
+
+  double next_refresh(std::size_t d) const;
+
+  int size_;
+  Model model_;
+  double update_interval_;
   std::vector<loadinfo::PeriodicBoard> periodic_;
   std::vector<loadinfo::IndividualBoard> individual_;
+  std::vector<loadinfo::ContinuousView> views_;
 };
 
 }  // namespace stale::dispatch

@@ -43,7 +43,7 @@ struct JiqSpec {
 
 // True for the JIQ policy family ("jiq", "jiq:sq", "jiq:sq:K"). These specs
 // are owned by the dispatch layer, not policy_factory: a JIQ policy is a view
-// onto shared token state only the multi-dispatcher engine can provide.
+// onto shared token state only the board-trial engine can provide.
 bool is_jiq_spec(const std::string& policy_spec);
 
 // Parses a JIQ spec; throws std::invalid_argument naming the offender.

@@ -209,13 +209,6 @@ void Cli::apply_run_scale(ExperimentConfig& config) const {
         "fault path hands the dispatcher ground-truth liveness; the churn "
         "path makes it earn one through the health subsystem)");
   }
-  if (config.dispatchers > 1 && config.fault.any()) {
-    throw std::invalid_argument(
-        "Cli: --dispatchers > 1 cannot be combined with --fault-spec (or "
-        "--crash-rate/--update-loss/--max-staleness): use --churn-spec, "
-        "whose health subsystem gives each dispatcher its own earned "
-        "liveness view");
-  }
 }
 
 void Cli::apply_faults(ExperimentConfig& config) const {

@@ -17,7 +17,7 @@
 //                     shorthand overrides for the spec's crash, loss, and
 //                     cutoff fields (X accepts "2T" multiples-of-T form)
 //   --dispatchers D   cooperating dispatchers over the one cluster (default
-//                     1 = the legacy single-dispatcher engine, bit-for-bit)
+//                     1 = the paper's single dispatcher)
 //   --dispatcher-split {uniform,weighted}
 //                     how arrivals are thinned across the D dispatchers
 //   --token-budget B  JIQ policies only: per-dispatcher cap on queued idle

@@ -4,30 +4,18 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "check/audit.h"
-#include "check/contracts.h"
-#include "core/rate_estimator.h"
 #include "dispatch/jiq.h"
 #include "driver/multi_dispatcher.h"
 #include "driver/trial_workload.h"
 #include "driver/update_on_access.h"
-#include "fault/fault_injector.h"
-#include "fault/hardened_policy.h"
-#include "health/churn_injector.h"
-#include "health/membership.h"
-#include "loadinfo/continuous_view.h"
-#include "loadinfo/individual_board.h"
-#include "loadinfo/periodic_board.h"
 #include "policy/policy_factory.h"
 #include "queueing/cluster.h"
-#include "queueing/load_stats.h"
 #include "queueing/metrics.h"
 #include "runtime/thread_pool.h"
 #include "sim/rng.h"
 #include "workload/arrival_spec.h"
 #include "workload/bursty_process.h"
 #include "workload/job_size.h"
-#include "workload/rate_estimator.h"
 
 namespace stale::driver {
 
@@ -88,21 +76,11 @@ void validate(const ExperimentConfig& config) {
     throw std::invalid_argument(
         "ExperimentConfig: jiq_token_budget must be >= 0");
   }
-  if (uses_multi_dispatcher(config)) {
-    if (config.model != UpdateModel::kPeriodic &&
-        config.model != UpdateModel::kIndividual) {
-      throw std::invalid_argument(
-          "ExperimentConfig: multi-dispatcher runs (dispatchers > 1 or a JIQ "
-          "policy) support only the periodic and individual board models "
-          "(each dispatcher owns a board instance; the continuous and "
-          "update_on_access models have none to replicate)");
-    }
-    if (config.fault.any()) {
-      throw std::invalid_argument(
-          "ExperimentConfig: multi-dispatcher runs are incompatible with "
-          "fault injection (use --churn-spec: the health subsystem gives "
-          "each dispatcher its own earned liveness view)");
-    }
+  if (config.model == UpdateModel::kUpdateOnAccess &&
+      (config.dispatchers > 1 || dispatch::is_jiq_spec(config.policy))) {
+    throw std::invalid_argument(
+        "ExperimentConfig: the update_on_access model runs its own "
+        "per-client engine: no multiple dispatchers and no JIQ policy");
   }
   if (config.replay == nullptr) {
     workload::validate_arrival_spec(config.arrival_spec);
@@ -133,614 +111,6 @@ void validate(const ExperimentConfig& config) {
           "board to bucket)");
     }
   }
-}
-
-// Builds the online rate estimator named by config.rate_estimator, or null
-// for "told" (the fixed believed_total_rate is used instead).
-core::RateEstimatorPtr make_rate_estimator(const ExperimentConfig& config) {
-  const std::string& spec = config.rate_estimator;
-  // "fixed" is the live dispatcher's name for the same ablation: the policy
-  // believes the configured rate forever, however the traffic moves.
-  if (spec == "told" || spec == "fixed") return nullptr;
-  const double max_throughput = static_cast<double>(config.num_servers);
-  if (spec == "conservative") {
-    return std::make_unique<core::ConservativeRateEstimator>(max_throughput);
-  }
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  if (kind == "cema") {
-    // cema[:ALPHA[:BUCKET]] — defaults: alpha 0.1, bucket T/2 (two samples
-    // per staleness phase, so lambda-hat re-converges within a few phases of
-    // a rate shift), initial estimate the conservative max throughput.
-    double alpha = 0.1;
-    double bucket = config.update_interval / 2.0;
-    if (colon != std::string::npos) {
-      const std::string rest = spec.substr(colon + 1);
-      const auto second = rest.find(':');
-      alpha = std::stod(rest.substr(0, second));
-      if (second != std::string::npos) {
-        bucket = std::stod(rest.substr(second + 1));
-      }
-    }
-    return std::make_unique<workload::CemaRateEstimator>(alpha, bucket,
-                                                         max_throughput);
-  }
-  const double param =
-      colon == std::string::npos ? 0.0 : std::stod(spec.substr(colon + 1));
-  if (kind == "ewma") {
-    return std::make_unique<core::EwmaRateEstimator>(param, max_throughput);
-  }
-  if (kind == "windowed") {
-    return std::make_unique<core::WindowedRateEstimator>(param,
-                                                         max_throughput);
-  }
-  throw std::invalid_argument("ExperimentConfig: unknown rate_estimator '" +
-                              spec + "'");
-}
-
-
-// Fills the percentile fields of `result` from retained samples, if any.
-void fill_percentiles(const queueing::ResponseMetrics& metrics,
-                      TrialResult& result) {
-  if (metrics.samples().empty()) return;
-  std::vector<double> sorted = metrics.samples();
-  std::sort(sorted.begin(), sorted.end());
-  result.p50_response = sim::percentile_sorted(sorted, 0.50);
-  result.p90_response = sim::percentile_sorted(sorted, 0.90);
-  result.p95_response = sim::percentile_sorted(sorted, 0.95);
-  result.p99_response = sim::percentile_sorted(sorted, 0.99);
-}
-
-TrialResult run_board_trial(const ExperimentConfig& config,
-                            std::uint64_t seed) {
-  sim::Rng rng(seed);
-  const bool continuous = config.model == UpdateModel::kContinuous;
-  const double history_window =
-      continuous ? loadinfo::ContinuousView::history_window_for(
-                       config.delay_kind, config.update_interval)
-                 : 0.0;
-  queueing::Cluster cluster(config.num_servers, history_window);
-  queueing::ResponseMetrics metrics(config.warmup_jobs,
-                                    config.keep_response_samples);
-  const auto policy = policy::make_policy(config.policy);
-  TrialWorkload workload = make_trial_workload(config);
-  const auto estimator = make_rate_estimator(config);
-  const double believed_rate = config.believed_total_rate();
-
-  loadinfo::PeriodicBoard board(config.num_servers, config.update_interval);
-  sim::Rng offsets_rng = rng.split();
-  loadinfo::IndividualBoard individual(config.num_servers,
-                                       config.update_interval, offsets_rng);
-  loadinfo::ContinuousView view(config.delay_kind, config.update_interval,
-                                config.know_actual_age);
-  queueing::LoadImbalanceStats imbalance;
-
-  // Bucketed representation: the active board maintains a level index next
-  // to its snapshot, the policies dispatch through O(#levels) kernels, and
-  // (outside the continuous model, which needs load history) the cluster
-  // advances lazily via its departure heap instead of O(n) sweeps.
-  const bool bucketed = config.resolved_bucketed();
-  if (bucketed) {
-    switch (config.model) {
-      case UpdateModel::kPeriodic:
-        board.enable_level_index();
-        break;
-      case UpdateModel::kIndividual:
-        individual.enable_level_index();
-        break;
-      case UpdateModel::kContinuous:
-        view.enable_level_index();
-        break;
-      case UpdateModel::kUpdateOnAccess:
-        throw std::logic_error("run_board_trial: wrong model");
-    }
-    if (!continuous) cluster.enable_lazy_advance();
-  }
-
-  obs::TraceSink* const trace = config.trace_sink;
-  cluster.set_trace_sink(trace);
-  board.set_trace_sink(trace);
-  individual.set_trace_sink(trace);
-  view.set_trace_sink(trace);
-
-  double t = 0.0;
-  for (std::uint64_t job = 0; job < config.num_jobs; ++job) {
-    t += workload.arrivals->next_gap(rng);
-
-    policy::DispatchContext context;
-    if (estimator) {
-      estimator->on_arrival(t);
-      context.lambda_total = estimator->rate();
-    } else {
-      context.lambda_total = believed_rate;
-    }
-    switch (config.model) {
-      case UpdateModel::kPeriodic:
-        board.sync(cluster, t);
-        context.loads = board.loads();
-        context.age = board.age(t);
-        context.phase_length = board.phase_length();
-        context.phase_elapsed = context.age;
-        context.info_version = board.version();
-        if (bucketed) context.levels = &board.level_index();
-        break;
-      case UpdateModel::kIndividual:
-        individual.sync(cluster, t);
-        context.loads = individual.loads();
-        context.age = individual.mean_age(t);
-        context.info_version = individual.version();
-        if (bucketed) context.levels = &individual.level_index();
-        break;
-      case UpdateModel::kContinuous:
-        cluster.advance_to(t);
-        view.observe(cluster, t, rng);
-        context.loads = view.loads();
-        context.age = view.reported_age();
-        context.info_version = view.version();
-        if (bucketed) context.levels = &view.level_index();
-        break;
-      case UpdateModel::kUpdateOnAccess:
-        throw std::logic_error("run_board_trial: wrong model");
-    }
-    context.trace = trace;
-
-    const int server = policy->select(context, rng);
-    if (trace) trace->on_decision(t, server, context.age);
-    const double size = workload.sizes->sample(rng);
-    // Snapshot the true pre-dispatch queue lengths (arrival epochs give
-    // unbiased time averages) once the warmup has passed. The histogram
-    // overload computes the same statistics in O(#levels) from the same
-    // state (bit-identical — both reduce over exact integer sums).
-    cluster.advance_to(t);
-    if (job >= config.warmup_jobs) {
-      if (bucketed) {
-        imbalance.observe(cluster.level_histogram());
-      } else {
-        imbalance.observe(cluster.loads());
-      }
-    }
-    const double departure = cluster.assign(t, server, size);
-    metrics.record(departure - t);
-  }
-
-  TrialResult result{
-      .mean_response = metrics.mean_response(),
-      .measured_jobs = metrics.measured_jobs(),
-      .total_jobs = metrics.total_jobs(),
-      .sim_end_time = t,
-      .mean_queue_stddev = imbalance.mean_within_snapshot_stddev(),
-      .mean_queue_max = imbalance.mean_snapshot_max(),
-      .mean_queue_length = imbalance.mean_queue_length()};
-  result.trace_wraps = workload.wraps();
-  fill_percentiles(metrics, result);
-  return result;
-}
-
-// Fault-injected variant of run_board_trial. Structurally the same arrival
-// loop, with four differences: (1) crash/recovery transitions interleave with
-// board refreshes in global time order; (2) jobs are tagged and responses
-// recorded at *completion* (a crash invalidates the departure precomputed at
-// dispatch), with warmup applied by arrival index so the discarded set
-// matches the serial methodology; (3) dispatch to a down server takes the
-// bounded retry-with-backoff path, the backoff charged as a response-time
-// penalty; (4) the policy sees the dispatcher-known liveness mask and its
-// sanitize-event counter via the context.
-TrialResult run_fault_board_trial(const ExperimentConfig& config,
-                                  std::uint64_t seed) {
-  sim::Rng rng(seed);
-  const fault::FaultSpec& spec = config.fault;
-  const auto n = static_cast<std::size_t>(config.num_servers);
-  const bool continuous = config.model == UpdateModel::kContinuous;
-  // Widen the continuous model's history window so fault-stretched delays
-  // still resolve exact past-load queries (same 40-mean-delays quantile
-  // rationale as ContinuousView::history_window_for).
-  const double extra_allowance =
-      continuous ? 40.0 * spec.update_extra_delay : 0.0;
-  const double history_window =
-      continuous ? loadinfo::ContinuousView::history_window_for(
-                       config.delay_kind, config.update_interval) +
-                       extra_allowance
-                 : 0.0;
-  queueing::Cluster cluster(config.num_servers, history_window);
-  cluster.enable_job_tracking();
-  queueing::ResponseMetrics metrics(config.warmup_jobs,
-                                    config.keep_response_samples);
-  policy::PolicyPtr policy = policy::make_policy(config.policy);
-  TrialWorkload workload = make_trial_workload(config);
-  const auto estimator = make_rate_estimator(config);
-  const double believed_rate = config.believed_total_rate();
-
-  loadinfo::PeriodicBoard board(config.num_servers, config.update_interval);
-  sim::Rng offsets_rng = rng.split();
-  loadinfo::IndividualBoard individual(config.num_servers,
-                                       config.update_interval, offsets_rng);
-  loadinfo::ContinuousView view(config.delay_kind, config.update_interval,
-                                config.know_actual_age, extra_allowance);
-  queueing::LoadImbalanceStats imbalance;
-
-  obs::TraceSink* const trace = config.trace_sink;
-  cluster.set_trace_sink(trace);
-  board.set_trace_sink(trace);
-  individual.set_trace_sink(trace);
-  view.set_trace_sink(trace);
-
-  fault::FaultInjector injector(spec, config.num_servers, rng);
-  fault::FaultStats& stats = injector.stats();
-  policy = fault::harden_policy(std::move(policy), spec,
-                                config.update_interval, &stats);
-
-  // Retry-backoff penalties by arrival index (tags are arrival indices, so
-  // the penalty survives requeues and attaches to the final completion).
-  std::vector<double> penalty(config.num_jobs, 0.0);
-  std::vector<queueing::CompletedJob> done;
-
-  const fault::FaultInjector::RequeueFn requeue =
-      [&](double when, const queueing::DisplacedJob& job) -> bool {
-    if (injector.alive_count() == 0) return false;
-    const int target = policy::pick_uniform_alive(injector.alive(), n, rng);
-    cluster.assign_tagged(when, target, job.size, job.tag, job.born);
-    return true;
-  };
-
-  const auto sync_boards_to = [&](double when) {
-    switch (config.model) {
-      case UpdateModel::kPeriodic:
-        board.sync(cluster, when, &injector);
-        break;
-      case UpdateModel::kIndividual:
-        individual.sync(cluster, when, &injector);
-        break;
-      default:
-        break;  // continuous: the view is materialized per request
-    }
-  };
-
-  const auto record_completions = [&] {
-    done.clear();
-    cluster.drain_completions(done);
-    for (const queueing::CompletedJob& job : done) {
-      metrics.record_indexed(job.tag, job.response + penalty[job.tag]);
-    }
-  };
-
-  double t = 0.0;
-  for (std::uint64_t job = 0; job < config.num_jobs; ++job) {
-    t += workload.arrivals->next_gap(rng);
-
-    // Crash/recovery transitions and board refreshes interleave in global
-    // time order: a board boundary before a crash must measure the
-    // pre-crash cluster (at a tie the measurement wins — the last report
-    // escapes just before the server dies).
-    while (injector.next_transition_time() <= t) {
-      const double when = injector.next_transition_time();
-      sync_boards_to(when);
-      injector.advance_to(cluster, when, requeue);
-    }
-    sync_boards_to(t);
-
-    policy::DispatchContext context;
-    if (estimator) {
-      if (!injector.estimator_drop()) {
-        estimator->on_arrival(t);
-      } else if (trace) {
-        trace->on_refresh_fault(t, obs::FaultTraceEvent::kEstimatorDrop, -1);
-      }
-      context.lambda_total = estimator->rate();
-    } else {
-      context.lambda_total = believed_rate;
-    }
-    switch (config.model) {
-      case UpdateModel::kPeriodic:
-        context.loads = board.loads();
-        context.age = board.age(t);
-        context.phase_length = board.phase_length();
-        context.phase_elapsed = context.age;
-        context.info_version = board.version();
-        break;
-      case UpdateModel::kIndividual:
-        context.loads = individual.loads();
-        context.age = individual.mean_age(t);
-        context.info_version = individual.version();
-        break;
-      case UpdateModel::kContinuous:
-        cluster.advance_to(t);
-        view.observe(cluster, t, rng, &injector);
-        context.loads = view.loads();
-        context.age = view.reported_age();
-        context.info_version = view.version();
-        break;
-      case UpdateModel::kUpdateOnAccess:
-        throw std::logic_error("run_fault_board_trial: wrong model");
-    }
-    // Liveness changes must invalidate cached probability vectors even when
-    // the board snapshot itself did not change.
-    context.info_version ^= injector.transition_count() << 32;
-    context.alive = injector.alive();
-    context.sanitize_events = &stats.sanitizer_fixes;
-    context.trace = trace;
-
-    int server = policy->select(context, rng);
-    if (trace) trace->on_decision(t, server, context.age);
-    // The dispatcher discovers a down server on contact: bounded retry with
-    // exponential backoff, each re-pick uniform over known-alive servers.
-    double backoff_penalty = 0.0;
-    bool dispatched = true;
-    for (int attempt = 0; !cluster.up(server); ++attempt) {
-      if (attempt >= spec.max_retries) {
-        dispatched = false;
-        break;
-      }
-      ++stats.dispatch_retries;
-      backoff_penalty += spec.retry_backoff * std::ldexp(1.0, attempt);
-      server = policy::pick_uniform_alive(injector.alive(), n, rng);
-    }
-    cluster.advance_to(t);
-    if (job >= config.warmup_jobs) imbalance.observe(cluster.loads());
-    if (dispatched) {
-      const double size = workload.sizes->sample(rng);
-      cluster.assign_tagged(t, server, size, job, t);
-      penalty[job] = backoff_penalty;
-    } else {
-      ++stats.jobs_dropped;
-    }
-    record_completions();
-  }
-
-  // Freeze the fault processes and let every in-flight job finish so its
-  // response is recorded (requeued jobs may complete long after arrival).
-  cluster.advance_to(cluster.latest_pending_departure());
-  record_completions();
-
-  TrialResult result{
-      .mean_response = metrics.mean_response(),
-      .measured_jobs = metrics.measured_jobs(),
-      .total_jobs = metrics.total_jobs(),
-      .sim_end_time = t,
-      .mean_queue_stddev = imbalance.mean_within_snapshot_stddev(),
-      .mean_queue_max = imbalance.mean_snapshot_max(),
-      .mean_queue_length = imbalance.mean_queue_length()};
-  result.faults = stats;
-  result.trace_wraps = workload.wraps();
-  fill_percentiles(metrics, result);
-  return result;
-}
-
-// Churn variant of the board trial (src/health/): the ground truth (rolling
-// restarts, Poisson leave/rejoin, slow nodes) comes from a ChurnInjector,
-// but — unlike the fault path, which hands the dispatcher the injector's
-// live-ness mask — the dispatcher here earns its view through a Membership
-// state machine fed only by what it can observe: board report recency and
-// its own dispatch failures. Quarantined (suspect/dead) servers leave the
-// candidate set; under the bucketed representation they are retired from
-// the level index so the counted kernels renormalize over survivors; when
-// candidate coverage drops below the configured threshold the dispatcher
-// degrades to the fallback policy until coverage recovers.
-TrialResult run_churn_board_trial(const ExperimentConfig& config,
-                                  std::uint64_t seed) {
-  sim::Rng rng(seed);
-  const health::ChurnSpec& spec = config.churn;
-  const auto n = static_cast<std::size_t>(config.num_servers);
-
-  // Slow nodes: the last `slow` servers run at slow_factor of the base rate.
-  std::vector<double> rates(n, 1.0);
-  const int slow = std::min(spec.slow, config.num_servers);
-  for (int s = config.num_servers - slow; s < config.num_servers; ++s) {
-    rates[static_cast<std::size_t>(s)] = spec.slow_factor;
-  }
-  queueing::Cluster cluster(std::move(rates), 0.0);
-  cluster.enable_job_tracking();
-  queueing::ResponseMetrics metrics(config.warmup_jobs,
-                                    config.keep_response_samples);
-  policy::PolicyPtr policy = policy::make_policy(config.policy);
-  policy::PolicyPtr fallback = policy::make_policy(spec.fallback_policy);
-  TrialWorkload workload = make_trial_workload(config);
-  const auto estimator = make_rate_estimator(config);
-  const double believed_rate = config.believed_total_rate();
-
-  loadinfo::PeriodicBoard board(config.num_servers, config.update_interval);
-  sim::Rng offsets_rng = rng.split();
-  loadinfo::IndividualBoard individual(config.num_servers,
-                                       config.update_interval, offsets_rng);
-  const bool use_individual = config.model == UpdateModel::kIndividual;
-  const bool bucketed = config.resolved_bucketed();
-  if (bucketed) {
-    if (use_individual) {
-      individual.enable_level_index();
-    } else {
-      board.enable_level_index();
-    }
-  }
-
-  obs::TraceSink* const trace = config.trace_sink;
-  cluster.set_trace_sink(trace);
-  board.set_trace_sink(trace);
-  individual.set_trace_sink(trace);
-
-  health::ChurnInjector injector(spec, config.num_servers, rng);
-  fault::FaultStats& stats = injector.stats();
-  health::Membership membership(
-      config.num_servers, spec.resolved_health(config.update_interval), 0.0,
-      trace);
-
-  std::vector<double> penalty(config.num_jobs, 0.0);
-  std::vector<queueing::CompletedJob> done;
-
-  // Requeue targets come from the membership's candidate view, not ground
-  // truth: a requeue that lands on another dead server is re-displaced by
-  // that server's own down transition (same instant, later in the scan).
-  const health::ChurnInjector::RequeueFn requeue =
-      [&](double when, const queueing::DisplacedJob& job) -> bool {
-    if (injector.up_count() == 0) return false;
-    const int target =
-        policy::pick_uniform_alive(injector.up(), n, rng);
-    cluster.assign_tagged(when, target, job.size, job.tag, job.born);
-    return true;
-  };
-
-  const auto board_version = [&] {
-    return use_individual ? individual.version() : board.version();
-  };
-
-  // After each batch of publishes, feed the membership what the reports say:
-  // every server that was actually up delivered its entry; dead servers'
-  // entries went silent (their board values are stale or vacuous, and the
-  // quarantine keeps policies from acting on them). Dead-but-probed servers
-  // consume their probe budget here too, on the same deterministic schedule.
-  const auto note_reports = [&](double when) {
-    const std::span<const std::uint8_t> up = injector.up();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (up[i] != 0) {
-        membership.note_report(static_cast<int>(i), when);
-      } else if (membership.probe_due(static_cast<int>(i), when)) {
-        membership.note_probe(static_cast<int>(i), when);
-      }
-    }
-  };
-
-  const auto sync_boards_to = [&](double when) {
-    const std::uint64_t before = board_version();
-    if (use_individual) {
-      individual.sync(cluster, when);
-    } else {
-      board.sync(cluster, when);
-    }
-    if (board_version() != before) note_reports(when);
-  };
-
-  // Reconciles the level index with the candidate mask after membership
-  // transitions: quarantined servers are retired (their level counts leave
-  // the histogram), returners are readmitted at their last known level.
-  std::uint64_t reconciled_at = 0;
-  const auto reconcile_levels = [&](double when) {
-    membership.advance(when);
-    if (!bucketed || membership.transition_count() == reconciled_at) return;
-    reconciled_at = membership.transition_count();
-    sim::LevelIndex& index = use_individual ? individual.level_index_mut()
-                                            : board.level_index_mut();
-    const std::span<const std::uint8_t> candidates = membership.candidates();
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool candidate = candidates[i] != 0;
-      if (!candidate && !index.retired(static_cast<int>(i))) {
-        index.retire(static_cast<int>(i));
-      } else if (candidate && index.retired(static_cast<int>(i))) {
-        index.readmit(static_cast<int>(i));
-      }
-    }
-  };
-
-  const auto record_completions = [&] {
-    done.clear();
-    cluster.drain_completions(done);
-    for (const queueing::CompletedJob& job : done) {
-      metrics.record_indexed(job.tag, job.response + penalty[job.tag]);
-    }
-  };
-
-  queueing::LoadImbalanceStats imbalance;
-  double t = 0.0;
-  for (std::uint64_t job = 0; job < config.num_jobs; ++job) {
-    t += workload.arrivals->next_gap(rng);
-
-    // Ground-truth transitions and board refreshes interleave in global time
-    // order (a publish boundary before a departure must measure the
-    // pre-departure cluster).
-    while (injector.next_transition_time() <= t) {
-      const double when = injector.next_transition_time();
-      sync_boards_to(when);
-      injector.advance_to(cluster, when, requeue);
-    }
-    sync_boards_to(t);
-    reconcile_levels(t);
-
-    policy::DispatchContext context;
-    if (estimator) {
-      estimator->on_arrival(t);
-      context.lambda_total = estimator->rate();
-    } else {
-      context.lambda_total = believed_rate;
-    }
-    if (use_individual) {
-      context.loads = individual.loads();
-      context.age = individual.mean_age(t);
-      context.info_version = individual.version();
-      if (bucketed) context.levels = &individual.level_index();
-    } else {
-      context.loads = board.loads();
-      context.age = board.age(t);
-      context.phase_length = board.phase_length();
-      context.phase_elapsed = context.age;
-      context.info_version = board.version();
-      if (bucketed) context.levels = &board.level_index();
-    }
-    // Membership transitions must invalidate cached probability vectors even
-    // when the board snapshot itself did not change.
-    context.info_version ^= membership.transition_count() << 32;
-    context.alive = membership.candidates();
-    context.levels_exclude_quarantined = bucketed;
-    context.sanitize_events = &stats.sanitizer_fixes;
-    context.trace = trace;
-
-    // Degraded mode: below the coverage threshold the board's picture is too
-    // thin to act on — fall back to the configured information-free policy
-    // until enough members return. With zero candidates no policy has
-    // anything to say (the bucketed histogram is empty); the job goes
-    // uniform-over-everyone and takes its chances with the retry path.
-    int server;
-    if (membership.candidate_count() == 0) {
-      server = policy::pick_uniform_alive(membership.candidates(), n, rng);
-    } else {
-      policy::SelectionPolicy& active =
-          membership.degraded() ? *fallback : *policy;
-      server = active.select(context, rng);
-    }
-    if (trace) trace->on_decision(t, server, context.age);
-    // The dispatcher discovers a down server on contact: the failure feeds
-    // the membership (straight to dead, probe schedule armed), and the job
-    // takes the bounded retry-with-backoff path over the candidate set.
-    double backoff_penalty = 0.0;
-    bool dispatched = true;
-    for (int attempt = 0; !cluster.up(server); ++attempt) {
-      membership.note_failure(server, t);
-      if (attempt >= spec.max_retries) {
-        dispatched = false;
-        break;
-      }
-      ++stats.dispatch_retries;
-      backoff_penalty += spec.retry_backoff * std::ldexp(1.0, attempt);
-      server = policy::pick_uniform_alive(membership.candidates(), n, rng);
-      STALE_AUDIT(check::audit_candidate_pick(
-          server, membership.candidates(),
-          "run_churn_board_trial: retry pick"));
-    }
-    cluster.advance_to(t);
-    if (job >= config.warmup_jobs) imbalance.observe(cluster.loads());
-    if (dispatched) {
-      const double size = workload.sizes->sample(rng);
-      cluster.assign_tagged(t, server, size, job, t);
-      penalty[job] = backoff_penalty;
-    } else {
-      ++stats.jobs_dropped;
-    }
-    record_completions();
-  }
-
-  // Freeze the churn processes and let every in-flight job finish so its
-  // response is recorded.
-  cluster.advance_to(cluster.latest_pending_departure());
-  record_completions();
-
-  TrialResult result{
-      .mean_response = metrics.mean_response(),
-      .measured_jobs = metrics.measured_jobs(),
-      .total_jobs = metrics.total_jobs(),
-      .sim_end_time = t,
-      .mean_queue_stddev = imbalance.mean_within_snapshot_stddev(),
-      .mean_queue_max = imbalance.mean_snapshot_max(),
-      .mean_queue_length = imbalance.mean_queue_length()};
-  result.faults = stats;
-  result.trace_wraps = workload.wraps();
-  fill_percentiles(metrics, result);
-  return result;
 }
 
 TrialResult run_update_on_access_trial(const ExperimentConfig& config,
@@ -803,20 +173,7 @@ TrialResult run_trial(const ExperimentConfig& config, std::uint64_t seed) {
   if (config.model == UpdateModel::kUpdateOnAccess) {
     return run_update_on_access_trial(config, seed);
   }
-  // D > 1 (or JIQ, whose token state lives in the multi engine even at
-  // D = 1) routes to the multi-dispatcher engine; a plain one-dispatcher
-  // config keeps the legacy engines below, so existing runs stay
-  // byte-identical by construction.
-  if (uses_multi_dispatcher(config)) {
-    return run_multi_dispatcher_trial(config, seed);
-  }
-  if (config.churn.any()) {
-    return run_churn_board_trial(config, seed);
-  }
-  if (config.fault.any()) {
-    return run_fault_board_trial(config, seed);
-  }
-  return run_board_trial(config, seed);
+  return run_multi_dispatcher_trial(config, seed);
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {

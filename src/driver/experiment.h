@@ -64,16 +64,14 @@ struct ExperimentConfig {
   policy::BoardRepr board_repr = policy::BoardRepr::kAuto;
 
   // --- multi-dispatcher scale-out (src/dispatch/) ---
-  // Number of cooperating dispatchers over the one cluster. 1 (the default)
-  // keeps the legacy single-dispatcher trial engine, bit-for-bit. With D > 1
-  // — or with a JIQ policy, whose token state needs the engine even at D = 1
-  // — the run routes through run_multi_dispatcher_trial: each dispatcher
-  // gets its own board instance (periodic boards de-phased by d*T/D,
-  // individual boards independently offset) and its own RNG stream split off
-  // the trial stream, and arrivals are thinned across dispatchers. Board
-  // models only (periodic/individual); mutually exclusive with fault
-  // injection (churn is supported — each dispatcher earns its own Membership
-  // view).
+  // Number of cooperating dispatchers over the one cluster; 1 (the default)
+  // is the paper's single dispatcher. With D > 1 each dispatcher gets its
+  // own board instance (periodic boards de-phased by d*T/D, individual
+  // boards independently offset) or continuous view and its own RNG stream
+  // split off the trial stream, and arrivals are thinned across dispatchers.
+  // Every board model (periodic/individual/continuous) and both fault
+  // injection and churn (each dispatcher earns its own Membership view)
+  // work at any D; update_on_access runs a single per-client engine.
   int dispatchers = 1;
   dispatch::DispatcherSplit dispatcher_split =
       dispatch::DispatcherSplit::kUniform;
@@ -98,18 +96,22 @@ struct ExperimentConfig {
   std::shared_ptr<const workload::ReplayTrace> replay;
 
   // --- fault injection (src/fault/) ---
-  // Default-constructed spec = no faults; the fault trial path is only taken
-  // when fault.any(). Not supported for the update_on_access model (there is
-  // no refresh stream to degrade; validate() rejects the combination).
+  // Default-constructed spec = no faults; the trial engine builds the fault
+  // injector only when fault.any() (a fault-free run draws no fault
+  // streams). Works with every board model and any dispatcher count. Not
+  // supported for the update_on_access model (there is no refresh stream to
+  // degrade), the bucketed representation, or churn; validate() rejects
+  // those combinations.
   fault::FaultSpec fault;
 
   // --- membership churn + health subsystem (src/health/) ---
-  // Default-constructed spec = no churn; the churn trial path is only taken
-  // when churn.any(). Mutually exclusive with fault injection (the fault
-  // path hands the dispatcher ground-truth liveness; the churn path makes it
-  // earn a view through the Membership state machine). Board models only
-  // (periodic/individual): the continuous and update_on_access models have
-  // no per-server report stream for the health layer to watch.
+  // Default-constructed spec = no churn; the trial engine builds the churn
+  // injector and the per-dispatcher Membership views only when churn.any().
+  // Mutually exclusive with fault injection (the fault path hands the
+  // dispatcher ground-truth liveness; the churn path makes it earn a view
+  // through the Membership state machine). Periodic and individual boards
+  // only: the continuous and update_on_access models have no per-server
+  // report stream for the health layer to watch.
   health::ChurnSpec churn;
 
   // --- arrival-rate knowledge (Figures 12-13) ---

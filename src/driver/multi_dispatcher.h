@@ -1,14 +1,14 @@
-// Multi-dispatcher trial engine: D dispatchers (src/dispatch/) over one
-// cluster, each with its own board, staleness clock, and RNG stream. This is
-// where the paper's herd warning compounds — D dispatchers independently
-// misreading stale boards amplify each other — and where Join-Idle-Queue
-// enters as the alternative with no staleness channel at all.
+// The board-model trial engine: D dispatchers (src/dispatch/) over one
+// cluster, each with its own information instance (periodic or individual
+// board, or continuous view), staleness clock and RNG stream. D = 1 is the
+// paper's single dispatcher; D > 1 is where the herd warning compounds — D
+// dispatchers independently misreading stale boards amplify each other — and
+// where Join-Idle-Queue enters as the alternative with no staleness channel
+// at all. Fault injection and membership churn are components of the same
+// arrival loop, not separate engines.
 //
-// Routing: run_trial() sends a config here when uses_multi_dispatcher() says
-// so (dispatchers > 1, or a JIQ policy — token state needs this engine even
-// at D = 1). A plain D = 1 config keeps the legacy engine, and this engine's
-// own D = 1 draw order reproduces it bit-for-bit (tested), so the two
-// answers agree exactly.
+// run_trial() sends every config here except update_on_access, whose
+// per-client snapshot pulls run on their own engine.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +17,8 @@
 
 namespace stale::driver {
 
-// True when `config` must run on the multi-dispatcher engine.
-bool uses_multi_dispatcher(const ExperimentConfig& config);
-
-// Runs one multi-dispatcher trial. Preconditions (enforced by validate()):
-// board model is periodic or individual, no fault injection, dispatchers >= 1.
+// Runs one board-model trial. Preconditions (enforced by validate()): model
+// is periodic, individual or continuous; dispatchers >= 1.
 TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
                                        std::uint64_t seed);
 

@@ -1,13 +1,17 @@
 // Per-trial workload construction: resolves an ExperimentConfig's
 // arrival_spec / job_size / replay fields into the cursor-holding process
-// objects one trial consumes. Each trial builds its own TrialWorkload (the
-// processes keep internal state — cursors, MMPP phase, thinning clocks — so
-// sharing one across parallel trials would race and leak position).
+// objects one trial consumes, and its rate_estimator spec into the online
+// estimator. Each trial builds its own TrialWorkload and estimator (they keep
+// internal state — cursors, MMPP phase, thinning clocks, rate buckets — so
+// sharing one across parallel trials would race and leak position). Also
+// home of the result helper both trial engines share.
 #pragma once
 
 #include <string>
 
+#include "core/rate_estimator.h"
 #include "driver/experiment.h"
+#include "queueing/metrics.h"
 #include "sim/distributions.h"
 #include "workload/arrival_process.h"
 
@@ -27,6 +31,20 @@ struct TrialWorkload {
 // total_rate()) and make_job_size(job_size). The default spec ("poisson")
 // reproduces the historical inline exponential draw bit for bit.
 TrialWorkload make_trial_workload(const ExperimentConfig& config);
+
+// Builds the online rate estimator named by config.rate_estimator, or null
+// for "told"/"fixed" (the policy then believes believed_total_rate()).
+// Grammar: told | fixed | conservative | cema[:ALPHA[:BUCKET]] | ewma:TAU |
+// windowed:W. cema defaults to alpha 0.1 and bucket T/2 (two samples per
+// staleness phase, so lambda-hat re-converges within a few phases of a rate
+// shift); every estimator starts from the conservative max throughput n.
+// Each number must parse in full and be finite; a bad one throws
+// std::invalid_argument naming its field.
+core::RateEstimatorPtr make_rate_estimator(const ExperimentConfig& config);
+
+// Fills the percentile fields of `result` from retained samples, if any.
+void fill_percentiles(const queueing::ResponseMetrics& metrics,
+                      TrialResult& result);
 
 // Points `config` at the recorded trace-v2 directory `dir` and rewrites the
 // run-shape fields to match the recording: num_servers and update_interval

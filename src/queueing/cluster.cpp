@@ -13,18 +13,17 @@ namespace {
 constexpr double kNever = std::numeric_limits<double>::infinity();
 }  // namespace
 
-Cluster::Cluster(int n, double history_window)
-    : history_window_(history_window) {
+Cluster::Cluster(int n, double history_window) {
   if (n <= 0) throw std::invalid_argument("Cluster: need at least one server");
   servers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) servers_.emplace_back(1.0, history_window);
   loads_.assign(static_cast<std::size_t>(n), 0);
   histogram_.assign(loads_);
+  scheduled_.assign(static_cast<std::size_t>(n), kNever);
   total_rate_ = static_cast<double>(n);
 }
 
-Cluster::Cluster(std::vector<double> rates, double history_window)
-    : history_window_(history_window) {
+Cluster::Cluster(std::vector<double> rates, double history_window) {
   if (rates.empty()) {
     throw std::invalid_argument("Cluster: need at least one server");
   }
@@ -35,6 +34,7 @@ Cluster::Cluster(std::vector<double> rates, double history_window)
   }
   loads_.assign(rates.size(), 0);
   histogram_.assign(loads_);
+  scheduled_.assign(rates.size(), kNever);
 }
 
 void Cluster::refresh_load(std::size_t server) {
@@ -44,19 +44,6 @@ void Cluster::refresh_load(std::size_t server) {
     histogram_.move(loads_[server], length);
     loads_[server] = length;
   }
-}
-
-void Cluster::enable_lazy_advance() {
-  if (history_window_ > 0.0) {
-    throw std::logic_error(
-        "Cluster::enable_lazy_advance: incompatible with history tracking "
-        "(pruning needs the periodic sweep)");
-  }
-  if (lazy_) return;
-  lazy_ = true;
-  scheduled_.assign(servers_.size(), kNever);
-  for (std::size_t s = 0; s < servers_.size(); ++s) schedule_front(s);
-  STALE_DCHECK(due_.size() <= servers_.size());
 }
 
 void Cluster::schedule_front(std::size_t server) {
@@ -71,14 +58,6 @@ void Cluster::schedule_front(std::size_t server) {
 
 void Cluster::advance_to(double t) {
   STALE_DCHECK(t >= advanced_time_);
-  if (!lazy_) {
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      servers_[i].advance_to(t);
-      refresh_load(i);
-    }
-    advanced_time_ = t;
-    return;
-  }
   while (!due_.empty() && due_.top().when <= t) {
     const DueEntry entry = due_.top();
     due_.pop();
@@ -103,7 +82,7 @@ double Cluster::assign(double t, int server, double job_size) {
   const double departure = servers_[s].assign(t, job_size);
   histogram_.move(loads_[s], loads_[s] + 1);
   loads_[s] += 1;
-  if (lazy_) schedule_front(s);
+  schedule_front(s);
   STALE_AUDIT(check::audit_level_histogram(histogram_.counts(),
                                            histogram_.total(), loads_,
                                            "Cluster::assign"));
@@ -113,7 +92,11 @@ double Cluster::assign(double t, int server, double job_size) {
 void Cluster::loads_at(double t, std::vector<int>& out) const {
   out.resize(servers_.size());
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    out[i] = servers_[i].length_at(t);
+    const FifoServer& server = servers_[i];
+    // The heap skips a server with no departure due, so its clock can trail
+    // the cluster's; its queue length has held since its own clock.
+    const bool held = t > server.advanced_time() && t <= advanced_time_;
+    out[i] = held ? server.length() : server.length_at(t);
   }
 }
 
@@ -131,7 +114,7 @@ double Cluster::assign_tagged(double t, int server, double job_size,
   const double departure = servers_[s].assign_tagged(t, job_size, tag, born);
   histogram_.move(loads_[s], loads_[s] + 1);
   loads_[s] += 1;
-  if (lazy_) schedule_front(s);
+  schedule_front(s);
   STALE_AUDIT(check::audit_level_histogram(histogram_.counts(),
                                            histogram_.total(), loads_,
                                            "Cluster::assign_tagged"));
@@ -149,7 +132,7 @@ void Cluster::crash(double t, int server,
   if (loads_[s] != 0) histogram_.move(loads_[s], 0);
   loads_[s] = 0;
   // Any heap entry for the wiped queue is now stale; mismatch skips it.
-  if (lazy_) scheduled_[s] = kNever;
+  scheduled_[s] = kNever;
   STALE_AUDIT(check::audit_level_histogram(histogram_.counts(),
                                            histogram_.total(), loads_,
                                            "Cluster::crash"));

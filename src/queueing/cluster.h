@@ -5,12 +5,11 @@
 // The cluster also maintains the level-occupancy histogram of its load
 // vector incrementally (sim/level_histogram.h): every queue-length change is
 // an O(1) move() on the histogram, so bucketed consumers never pay an O(n)
-// recount. With enable_lazy_advance() the per-advance full-server sweep is
-// replaced by a departure heap — advance_to() touches only the servers whose
-// queues actually change, making large-n (10^5..10^6) simulation feasible.
-// Lazy advance changes no simulated behaviour (same loads, departures, and
-// histogram after every call); it is incompatible with history tracking,
-// whose pruning needs the periodic sweep.
+// recount. advance_to() is driven by a departure heap: it touches only the
+// servers whose queues actually change, so an advance costs O(changes log n)
+// rather than O(n), which is what makes large-n (10^5..10^6) simulation
+// feasible. A server the heap skipped keeps its own clock behind the
+// cluster's; its queue has not changed since, which loads_at() relies on.
 //
 // Fault-aware runs (src/fault/) enable job tracking, crash/recover individual
 // servers, and drain completed jobs (tag + response time) instead of trusting
@@ -38,8 +37,8 @@ class Cluster {
 
   int size() const { return static_cast<int>(servers_.size()); }
 
-  // Advances every server to time t and refreshes the cached load vector
-  // (under lazy advance: only the servers with departures <= t).
+  // Retires every departure <= t and refreshes the cached load vector (only
+  // the servers with such departures are touched).
   void advance_to(double t);
 
   // Dispatches a job of `size` to `server` at time `t`. Advances the cluster
@@ -52,11 +51,12 @@ class Cluster {
   // Level-occupancy histogram of loads(), maintained incrementally.
   const sim::LevelHistogram& level_histogram() const { return histogram_; }
 
-  // Switches advance_to() to the departure-heap path (see header comment).
-  // Must be called before any assign; throws if the cluster tracks history.
-  void enable_lazy_advance();
+  // No-op: every cluster advances through its departure heap. Kept because
+  // the repository benchmark (perfbench/src/sim_bench.cpp) still calls it.
+  void enable_lazy_advance() {}
 
-  // Queue lengths at past time `t` (requires a history window).
+  // Queue lengths at past time `t` <= advanced_time() (requires a history
+  // window reaching back to `t`).
   void loads_at(double t, std::vector<int>& out) const;
 
   const FifoServer& server(int i) const { return servers_.at(i); }
@@ -101,7 +101,7 @@ class Cluster {
   // Re-reads one server's length into loads_ and the histogram.
   void refresh_load(std::size_t server);
 
-  // Re-arms the departure heap for one server (lazy mode).
+  // Re-arms the departure heap for one server.
   void schedule_front(std::size_t server);
 
   // Heap entry; min-ordered by (when, server) so pops are deterministic.
@@ -119,12 +119,10 @@ class Cluster {
   sim::LevelHistogram histogram_;
   double advanced_time_ = 0.0;
   double total_rate_ = 0.0;
-  double history_window_ = 0.0;
 
-  // Lazy-advance state. scheduled_[s] is the departure time currently armed
-  // in the heap for server s (+inf = none); stale heap entries — superseded
-  // by a pop or a crash — are recognized by mismatch and skipped.
-  bool lazy_ = false;
+  // Departure heap. scheduled_[s] is the departure time currently armed in
+  // the heap for server s (+inf = none); stale heap entries — superseded by
+  // a pop or a crash — are recognized by mismatch and skipped.
   std::vector<double> scheduled_;
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>>
       due_;

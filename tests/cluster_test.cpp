@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "queueing/metrics.h"
@@ -90,13 +91,12 @@ TEST(ClusterTest, LevelHistogramTracksLoadsIncrementally) {
   EXPECT_EQ(cluster.level_histogram().total(), 3);
 }
 
-// Lazy advance is a pure evaluation-strategy change: the same assignment
-// sequence must yield identical loads, histogram, and departure times as the
-// per-server sweep, at every observation instant.
+// The departure heap is a pure evaluation strategy: the same assignment
+// sequence must yield the departure times, loads and histogram of plain
+// FifoServers that are all stepped to every observation instant.
 TEST(ClusterTest, LazyAdvanceMatchesSweepExactly) {
-  Cluster sweep(4);
-  Cluster lazy(4);
-  lazy.enable_lazy_advance();
+  std::vector<FifoServer> reference(4);
+  Cluster cluster(4);
 
   const struct {
     double t;
@@ -111,29 +111,44 @@ TEST(ClusterTest, LazyAdvanceMatchesSweepExactly) {
   for (const double t : checkpoints) {
     while (next_job < std::size(jobs) && jobs[next_job].t <= t) {
       const auto& job = jobs[next_job++];
-      const double d1 = sweep.assign(job.t, job.server, job.size);
-      const double d2 = lazy.assign(job.t, job.server, job.size);
-      EXPECT_EQ(d1, d2);
+      const double expected =
+          reference[static_cast<std::size_t>(job.server)].assign(job.t,
+                                                                 job.size);
+      EXPECT_EQ(cluster.assign(job.t, job.server, job.size), expected);
     }
-    sweep.advance_to(t);
-    lazy.advance_to(t);
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(sweep.loads()[static_cast<std::size_t>(s)],
-                lazy.loads()[static_cast<std::size_t>(s)])
+    for (FifoServer& server : reference) server.advance_to(t);
+    cluster.advance_to(t);
+    std::vector<int> level_counts(16, 0);
+    for (std::size_t s = 0; s < reference.size(); ++s) {
+      EXPECT_EQ(cluster.loads()[s], reference[s].length())
           << "server " << s << " at t=" << t;
+      ++level_counts[static_cast<std::size_t>(reference[s].length())];
     }
-    for (int level = 0; level <= sweep.level_histogram().max_level();
-         ++level) {
-      EXPECT_EQ(sweep.level_histogram().count(level),
-                lazy.level_histogram().count(level))
+    for (int level = 0; level < 16; ++level) {
+      EXPECT_EQ(cluster.level_histogram().count(level),
+                level_counts[static_cast<std::size_t>(level)])
           << "level " << level << " at t=" << t;
     }
   }
 }
 
-TEST(ClusterTest, LazyAdvanceIncompatibleWithHistory) {
-  Cluster cluster(2, /*history_window=*/10.0);
-  EXPECT_THROW(cluster.enable_lazy_advance(), std::logic_error);
+// With a history window, a server the departure heap never touched trails
+// the cluster clock; loads_at() must still answer for it (its queue held).
+TEST(ClusterTest, LoadsAtCoversServersTheHeapSkipped) {
+  Cluster cluster(3, /*history_window=*/10.0);
+  cluster.enable_lazy_advance();  // a no-op, history window or not
+  cluster.assign(0.0, 0, 1.0);
+  cluster.assign(0.5, 1, 5.0);
+  cluster.advance_to(2.0);  // retires server 0's job; servers 1, 2 skipped
+  EXPECT_LT(cluster.server(1).advanced_time(), 2.0);
+  std::vector<int> past;
+  cluster.loads_at(1.5, past);
+  EXPECT_EQ(past, (std::vector<int>{0, 1, 0}));
+  cluster.loads_at(0.25, past);
+  EXPECT_EQ(past, (std::vector<int>{1, 0, 0}));
+  cluster.loads_at(2.0, past);
+  EXPECT_EQ(past, (std::vector<int>{0, 1, 0}));
+  EXPECT_THROW(cluster.loads_at(2.5, past), std::invalid_argument);
 }
 
 TEST(ResponseMetricsTest, DiscardsWarmupJobs) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "driver/cli.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
 #include "driver/table.h"
+#include "driver/trial_workload.h"
 
 namespace stale::driver {
 namespace {
@@ -437,6 +440,82 @@ TEST(CliTest, ChurnSpecFlagBuildsTheSpecAndExcludesFaults) {
     const std::string what = error.what();
     EXPECT_NE(what.find("--churn-spec"), std::string::npos);
     EXPECT_NE(what.find("--fault-spec"), std::string::npos);
+  }
+}
+
+TEST(CliTest, DispatchersCombineWithFaultsAndEveryBoardModel) {
+  const char* argv[] = {"bench", "--dispatchers", "3", "--fault-spec",
+                        "crash=0.01,down=2,loss=0.1"};
+  ExperimentConfig config;
+  EXPECT_NO_THROW(Cli(5, argv).apply_run_scale(config));
+  EXPECT_EQ(config.dispatchers, 3);
+  EXPECT_TRUE(config.fault.any());
+  config.num_servers = 6;
+  config.num_jobs = 1'500;
+  config.warmup_jobs = 300;
+  for (const UpdateModel model :
+       {UpdateModel::kPeriodic, UpdateModel::kIndividual,
+        UpdateModel::kContinuous}) {
+    config.model = model;
+    const TrialResult result = run_trial(config, 5);
+    EXPECT_TRUE(std::isfinite(result.mean_response))
+        << update_model_name(model);
+    EXPECT_GT(result.faults.crashes, 0u) << update_model_name(model);
+  }
+}
+
+// The one sim rate-estimator grammar: every number parses in full and is
+// finite, and an error names the field that broke.
+TEST(RateEstimatorSpecTest, ParsesOrNamesTheBadField) {
+  const struct {
+    const char* spec;
+    const char* describe;  // nullptr: no estimator (the told rate)
+  } valid[] = {{"told", nullptr},
+               {"fixed", nullptr},
+               {"conservative", "conservative"},
+               {"cema", "cema"},
+               {"cema:0.2", "cema"},
+               {"cema:0.2:0.5", "cema"},
+               {"ewma:50", "ewma"},
+               {"windowed:100", "windowed"}};
+  for (const auto& row : valid) {
+    ExperimentConfig config;
+    config.rate_estimator = row.spec;
+    const core::RateEstimatorPtr estimator = make_rate_estimator(config);
+    if (row.describe == nullptr) {
+      EXPECT_EQ(estimator, nullptr) << row.spec;
+    } else {
+      ASSERT_NE(estimator, nullptr) << row.spec;
+      EXPECT_NE(estimator->describe().find(row.describe), std::string::npos)
+          << row.spec;
+    }
+  }
+
+  const struct {
+    const char* spec;
+    const char* message;  // must appear in the error
+  } invalid[] = {{"cema:0.1x", "bad ALPHA '0.1x'"},
+                 {"cema:abc", "bad ALPHA 'abc'"},
+                 {"cema:", "bad ALPHA ''"},
+                 {"cema:0.2:1e400", "bad BUCKET '1e400'"},
+                 {"cema:0.2:0.5:1", "expected cema[:ALPHA[:BUCKET]]"},
+                 {"windowed:nan", "bad W 'nan'"},
+                 {"windowed:", "bad W ''"},
+                 {"ewma:inf", "bad TAU 'inf'"},
+                 {"ewma:5:6", "expected ewma:TAU"},
+                 {"ewma", "expected ewma:TAU"},
+                 {"conservative:2", "expected conservative"},
+                 {"bogus:1", "unknown rate_estimator 'bogus:1'"}};
+  for (const auto& row : invalid) {
+    ExperimentConfig config;
+    config.rate_estimator = row.spec;
+    try {
+      (void)make_rate_estimator(config);
+      ADD_FAILURE() << row.spec << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(row.message), std::string::npos)
+          << row.spec << ": " << error.what();
+    }
   }
 }
 

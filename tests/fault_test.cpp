@@ -519,9 +519,8 @@ TEST(FaultTrialTest, ExperimentStatsAreSumOfTrialStats) {
 }
 
 TEST(FaultTrialTest, FaultFreeSpecMatchesBaselinePathBitForBit) {
-  // A default FaultSpec takes the non-fault trial path; the acceptance
-  // criterion is that adding the fault *layer* changed nothing for existing
-  // configurations.
+  // A default FaultSpec builds no fault injector and draws no fault streams:
+  // adding the fault *layer* changes nothing for fault-free configurations.
   auto config = fault_config(driver::UpdateModel::kPeriodic, "");
   const driver::TrialResult a = driver::run_trial(config, 1234);
   config.fault = FaultSpec{};

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -140,11 +142,16 @@ TEST(ReplayTraceTest, EmpiricalRateSpansTheArrivals) {
 
 class ReplayDirTest : public ::testing::Test {
  protected:
-  std::string dir_ = ::testing::TempDir() + "staleload_replay_dir";
+  // TempDir() is shared by every test process on the host, and ctest -j runs
+  // these tests concurrently: each test writes its own directory, named by
+  // test and process.
+  std::string dir_ =
+      ::testing::TempDir() + "staleload_replay_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid());
 
   void SetUp() override {
-    // TempDir is per-run; the subdir keeps our files away from other suites.
-    (void)std::system(("mkdir -p " + dir_).c_str());
+    std::filesystem::create_directories(dir_);
     write_file(kManifestFile, [](std::ostream& out) {
       ReplayManifest manifest;
       manifest.backends = 2;
@@ -159,6 +166,8 @@ class ReplayDirTest : public ::testing::Test {
       write_loads(out, {{0.5, 0, 1}, {0.5, 1, 0}});
     });
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   template <typename Writer>
   void write_file(const char* name, Writer writer) {

@@ -11,8 +11,8 @@
 //
 // Multi-dispatcher scale-out (board models only):
 //   --dispatchers D            D cooperating dispatchers over one cluster,
-//                              each with its own board + staleness schedule
-//                              (D=1 is the legacy engine, bit-for-bit)
+//                              each with its own board or continuous view
+//                              (D=1 is the paper's single dispatcher)
 //   --dispatcher-split uniform|weighted   arrival thinning across dispatchers
 //   --token-budget B           JIQ: per-dispatcher idle-token cap (0 = off)
 //
