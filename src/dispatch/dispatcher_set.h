@@ -98,9 +98,9 @@ class DispatcherSet {
 
   // Continuous views only: samples dispatcher d's delay from `rng` and
   // materializes its view for an arrival at `t` (the cluster must already
-  // be advanced to `t`).
+  // be advanced to `t`). `faults` (nullable) may drop or stretch it.
   void observe(int d, const queueing::Cluster& cluster, double t,
-               sim::Rng& rng, loadinfo::RefreshFaults* faults = nullptr);
+               sim::Rng& rng, loadinfo::RefreshFaults* faults);
 
   void enable_level_index();
   void set_trace_sink(obs::TraceSink* sink);

@@ -32,7 +32,6 @@ struct GroundTruth {
   std::optional<fault::FaultInjector> fault;
   std::optional<health::ChurnInjector> churn;
 
-  bool active() const { return fault || churn; }
   double next_transition_time() const {
     if (fault) return fault->next_transition_time();
     if (churn) return churn->next_transition_time();
@@ -168,8 +167,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   if (faults) truth.fault.emplace(config.fault, config.num_servers, rng);
   if (churn) truth.churn.emplace(cspec, config.num_servers, rng);
   fault::FaultStats no_injection_stats;
-  fault::FaultStats& stats =
-      injected ? truth.stats() : no_injection_stats;
+  fault::FaultStats& stats = injected ? truth.stats() : no_injection_stats;
   // Faults hand every dispatcher the ground-truth liveness mask and degrade
   // the board through the injector's refresh faults; the staleness cutoff
   // wraps each dispatcher's policy.
@@ -216,9 +214,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   if (injected) penalty.assign(config.num_jobs, 0.0);
   std::vector<queueing::CompletedJob> done;
 
-  // Requeue targets are uniform over the servers actually up; a requeue
-  // that lands on another dead server is re-displaced by that server's own
-  // down transition (same instant, later in the scan).
+  // Requeue targets are uniform over the servers actually up at the crash.
   const fault::FaultInjector::RequeueFn requeue =
       [&](double when, const queueing::DisplacedJob& job) -> bool {
     if (truth.up_count() == 0) return false;
