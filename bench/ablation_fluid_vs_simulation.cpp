@@ -13,8 +13,9 @@
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {"d"}, {}, [](const stale::driver::Cli& cli) {
-        const int d = static_cast<int>(cli.get_int("d", 2));
+      argc, argv, {{"d", "D", "choices per arrival in the fluid model"}},
+      [](const stale::driver::Cli& cli) {
+        const int d = cli.integer<int>("d", 2);
         stale::driver::ExperimentConfig base;
         base.lambda = 0.9;
         base.model = stale::driver::UpdateModel::kPeriodic;

@@ -93,7 +93,7 @@ double run_trial(Mode mode, double update_interval, double lambda,
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::driver::ExperimentConfig scale;
         cli.apply_run_scale(scale);
 

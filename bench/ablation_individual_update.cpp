@@ -31,7 +31,7 @@ void run_panel(const stale::driver::Cli& cli,
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::bench::print_header(
             "Ablation: individual updates",
             "de-phased per-server board refresh vs. synchronized periodic",

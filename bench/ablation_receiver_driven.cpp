@@ -34,7 +34,9 @@ std::string run_cell(const ExperimentConfig& config,
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {"migration-delay"}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv,
+      {{"migration-delay", "X", "time a stolen job spends in transit"}},
+      [](const stale::driver::Cli& cli) {
         ExperimentConfig base;
         base.num_servers = 10;
         base.lambda = 0.9;
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
         }
 
         StealingOptions stealing;
-        stealing.migration_delay = cli.get_double("migration-delay", 0.1);
+        stealing.migration_delay = cli.number("migration-delay", 0.1);
 
         stale::bench::print_header(
             "Ablation: receiver-driven rebalancing",

@@ -10,6 +10,7 @@
 #include "driver/cli.h"
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "sim/spec.h"
 
 namespace stale::bench {
 
@@ -37,25 +38,25 @@ inline std::vector<double> t_grid(const driver::Cli& cli, double max_t) {
   return grid;
 }
 
-// Wraps a bench main body with uniform error reporting so a bad flag prints
-// a message instead of a raw terminate.
+// Wraps a bench main body with uniform flag handling: --help prints the flag
+// table (standard flags plus `extra`) and exits 0; a bad flag prints a
+// message and the usage line instead of a raw terminate.
 template <typename Body>
 int run_bench(int argc, const char* const* argv,
-              const std::vector<std::string>& extra_flags,
-              const std::vector<std::string>& extra_switches, Body body) {
+              const std::vector<sim::Flag>& extra, Body body) {
   try {
-    driver::Cli cli(argc, argv, extra_flags, extra_switches);
+    driver::Cli cli(argc, argv, extra);
+    if (cli.help_requested()) {
+      cli.print_help(std::cout);
+      return 0;
+    }
     body(cli);
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n"
-              << "flags: --paper | --fast | --num-jobs N --warmup N "
-                 "--trials N --seed S --jobs THREADS --csv "
-                 "--fault-spec S --crash-rate R --update-loss P "
-                 "--max-staleness A";
-    for (const auto& flag : extra_flags) std::cerr << " --" << flag << " V";
-    for (const auto& flag : extra_switches) std::cerr << " --" << flag;
-    std::cerr << "\n";
+              << sim::usage(driver::Cli::flag_table(
+                     argc > 0 ? argv[0] : nullptr, extra))
+              << "\n";
     return 1;
   }
 }

@@ -41,8 +41,9 @@ std::vector<double> empirical_ranks(int n, int k, int draws,
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_bench(argc, argv, {"n"}, {}, [](const stale::driver::Cli& cli) {
-    const int n = static_cast<int>(cli.get_int("n", 10));
+  const std::vector<stale::sim::Flag> flags = {{"n", "N", "cluster size"}};
+  return run_bench(argc, argv, flags, [](const stale::driver::Cli& cli) {
+    const int n = cli.integer<int>("n", 10);
     const std::vector<int> ks = {1, 2, 3, 5, n};
     print_header("Figure 1",
                  "request share vs. server rank under the k-subset algorithm "

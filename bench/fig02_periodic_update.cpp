@@ -10,10 +10,12 @@
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {"lambda", "n"}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv,
+      {{"lambda", "L", "per-server load"}, {"n", "N", "cluster size"}},
+      [](const stale::driver::Cli& cli) {
         stale::driver::ExperimentConfig base;
-        base.num_servers = static_cast<int>(cli.get_int("n", 10));
-        base.lambda = cli.get_double("lambda", 0.9);
+        base.num_servers = cli.integer<int>("n", 10);
+        base.lambda = cli.number("lambda", 0.9);
         base.model = stale::driver::UpdateModel::kPeriodic;
         cli.apply_run_scale(base);
 

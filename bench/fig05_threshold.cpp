@@ -41,7 +41,7 @@ void run_panel(const stale::driver::Cli& cli, int k) {
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::bench::print_header(
             "Figure 5",
             "threshold algorithm vs. thresholds, periodic update", cli,

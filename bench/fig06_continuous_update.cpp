@@ -37,7 +37,7 @@ void run_panel(const stale::driver::Cli& cli,
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::bench::print_header(
             "Figure 6",
             "continuous update model, clients know only the mean delay", cli,

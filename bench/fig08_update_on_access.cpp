@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::driver::ExperimentConfig base;
         base.num_servers = 10;
         base.lambda = 0.9;

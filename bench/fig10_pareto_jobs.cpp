@@ -38,7 +38,7 @@ void run_panel(const stale::driver::Cli& cli, double lambda) {
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::bench::print_header(
             "Figure 10",
             "Bounded Pareto jobs (alpha = 1.1, max = 1000x mean), periodic "

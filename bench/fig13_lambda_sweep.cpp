@@ -11,11 +11,12 @@
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {"t"}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {{"t", "T", "update interval"}},
+      [](const stale::driver::Cli& cli) {
         stale::driver::ExperimentConfig base;
         base.num_servers = 10;
         base.model = stale::driver::UpdateModel::kPeriodic;
-        base.update_interval = cli.get_double("t", 10.0);
+        base.update_interval = cli.number("t", 10.0);
         cli.apply_run_scale(base);
 
         stale::bench::print_header(

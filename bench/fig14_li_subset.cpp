@@ -39,7 +39,7 @@ void run_panel(const stale::driver::Cli& cli,
 
 int main(int argc, char** argv) {
   return stale::bench::run_bench(
-      argc, argv, {}, {}, [](const stale::driver::Cli& cli) {
+      argc, argv, {}, [](const stale::driver::Cli& cli) {
         stale::bench::print_header(
             "Figure 14",
             "Basic LI over restricted information (LI-k) vs. plain k-subset",

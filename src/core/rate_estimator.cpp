@@ -1,8 +1,9 @@
 #include "core/rate_estimator.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "sim/spec.h"
 
 namespace stale::core {
 
@@ -14,9 +15,7 @@ ConservativeRateEstimator::ConservativeRateEstimator(double max_throughput)
 }
 
 std::string ConservativeRateEstimator::describe() const {
-  std::ostringstream os;
-  os << "conservative(" << max_throughput_ << ")";
-  return os.str();
+  return "conservative(" + sim::format_number(max_throughput_) + ")";
 }
 
 EwmaRateEstimator::EwmaRateEstimator(double time_constant, double initial_rate)
@@ -39,9 +38,7 @@ void EwmaRateEstimator::on_arrival(double t) {
 }
 
 std::string EwmaRateEstimator::describe() const {
-  std::ostringstream os;
-  os << "ewma(tau=" << tau_ << ")";
-  return os.str();
+  return "ewma(tau=" + sim::format_number(tau_) + ")";
 }
 
 WindowedRateEstimator::WindowedRateEstimator(double window,
@@ -66,9 +63,7 @@ double WindowedRateEstimator::rate() const {
 }
 
 std::string WindowedRateEstimator::describe() const {
-  std::ostringstream os;
-  os << "windowed(w=" << window_ << ")";
-  return os.str();
+  return "windowed(w=" + sim::format_number(window_) + ")";
 }
 
 }  // namespace stale::core

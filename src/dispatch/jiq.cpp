@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "check/contracts.h"
+#include "sim/spec.h"
 
 namespace stale::dispatch {
 
@@ -18,27 +19,19 @@ bool is_jiq_spec(const std::string& policy_spec) {
 }
 
 JiqSpec parse_jiq_spec(const std::string& policy_spec) {
+  const std::vector<std::string> parts = sim::split_fields(policy_spec, ':');
   JiqSpec spec;
-  if (policy_spec == "jiq") return spec;
-  if (policy_spec == "jiq:sq") {
+  if (parts[0] == "jiq" && parts.size() == 1) return spec;
+  if (parts[0] == "jiq" && parts[1] == "sq" && parts.size() <= 3) {
     spec.insertion = JiqInsertion::kShortestQueue;
-    return spec;
-  }
-  if (policy_spec.rfind("jiq:sq:", 0) == 0) {
-    spec.insertion = JiqInsertion::kShortestQueue;
-    const std::string arg = policy_spec.substr(7);
-    std::size_t pos = 0;
-    int k = 0;
-    try {
-      k = std::stoi(arg, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
+    if (parts.size() == 3) {
+      spec.sq_sample =
+          sim::parse_integer<int>(parts[2], "parse_jiq_spec", "sample count");
+      if (spec.sq_sample < 1) {
+        throw std::invalid_argument("parse_jiq_spec: sample count in '" +
+                                    policy_spec + "' must be >= 1");
+      }
     }
-    if (pos != arg.size() || k < 1) {
-      throw std::invalid_argument("parse_jiq_spec: bad sample count in '" +
-                                  policy_spec + "' (want jiq:sq:K, K >= 1)");
-    }
-    spec.sq_sample = k;
     return spec;
   }
   throw std::invalid_argument("parse_jiq_spec: unknown JIQ spec '" +

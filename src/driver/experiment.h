@@ -119,9 +119,12 @@ struct ExperimentConfig {
   // where lambda_estimate defaults to the true per-server lambda.
   double lambda_error_factor = 1.0;
   double lambda_estimate_per_server = -1.0;  // < 0: use the true lambda
-  // Online estimation ablation: "told" (default, uses the fields above),
-  // "conservative" (believe n * 1.0, the paper's max-throughput rule),
-  // "ewma:TAU" or "windowed:W" (learn the rate from observed arrivals).
+  // Online estimation ablation, in the one grammar staleload_lb's
+  // --estimator shares (workload::make_rate_estimator): "told" / "fixed"
+  // (default, uses the fields above), "fixed:RATE", "conservative" (believe
+  // n * 1.0, the paper's max-throughput rule), or an estimator that learns
+  // the rate from observed arrivals: "ewma:TAU", "windowed[:W]",
+  // "cema[:ALPHA[:BUCKET]]". Every estimator starts from n.
   std::string rate_estimator = "told";
 
   // --- run lengths ---

@@ -133,7 +133,9 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   }
 
   TrialWorkload trial_workload = make_trial_workload(config);
-  const auto estimator = make_rate_estimator(config);
+  // Each trial builds its own estimator: rate buckets are per-trial state.
+  const auto estimator = workload::make_rate_estimator(
+      config.rate_estimator, rate_estimator_context(config));
   const double believed_rate = config.believed_total_rate();
 
   dispatch::DispatcherSet boards(D, config.num_servers, config.update_interval,

@@ -1,19 +1,18 @@
 // Per-trial workload construction: resolves an ExperimentConfig's
 // arrival_spec / job_size / replay fields into the cursor-holding process
-// objects one trial consumes, and its rate_estimator spec into the online
-// estimator. Each trial builds its own TrialWorkload and estimator (they keep
-// internal state — cursors, MMPP phase, thinning clocks, rate buckets — so
-// sharing one across parallel trials would race and leak position). Also
-// home of the result helper both trial engines share.
+// objects one trial consumes. Each trial builds its own TrialWorkload (it
+// keeps internal state — cursors, MMPP phase, thinning clocks — so sharing
+// one across parallel trials would race and leak position). Also home of the
+// result helper both trial engines share.
 #pragma once
 
 #include <string>
 
-#include "core/rate_estimator.h"
 #include "driver/experiment.h"
 #include "queueing/metrics.h"
 #include "sim/distributions.h"
 #include "workload/arrival_process.h"
+#include "workload/rate_estimator.h"
 
 namespace stale::driver {
 
@@ -32,15 +31,12 @@ struct TrialWorkload {
 // reproduces the historical inline exponential draw bit for bit.
 TrialWorkload make_trial_workload(const ExperimentConfig& config);
 
-// Builds the online rate estimator named by config.rate_estimator, or null
-// for "told"/"fixed" (the policy then believes believed_total_rate()).
-// Grammar: told | fixed | conservative | cema[:ALPHA[:BUCKET]] | ewma:TAU |
-// windowed:W. cema defaults to alpha 0.1 and bucket T/2 (two samples per
-// staleness phase, so lambda-hat re-converges within a few phases of a rate
-// shift); every estimator starts from the conservative max throughput n.
-// Each number must parse in full and be finite; a bad one throws
-// std::invalid_argument naming its field.
-core::RateEstimatorPtr make_rate_estimator(const ExperimentConfig& config);
+// What the simulator knows when it builds config.rate_estimator through
+// workload::make_rate_estimator: T, a told lambda, and the service capacity
+// n (servers of rate 1), which is also every estimator's starting rate —
+// the paper's conservative rule.
+workload::RateEstimatorContext rate_estimator_context(
+    const ExperimentConfig& config);
 
 // Fills the percentile fields of `result` from retained samples, if any.
 void fill_percentiles(const queueing::ResponseMetrics& metrics,

@@ -2,54 +2,12 @@
 
 #include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/spec.h"
+
 namespace stale::fault {
-
-namespace {
-
-double parse_double(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultSpec: bad number for '" + key +
-                                "': " + value);
-  }
-  if (used != value.size() || !std::isfinite(parsed)) {
-    throw std::invalid_argument("FaultSpec: bad number for '" + key +
-                                "': " + value);
-  }
-  return parsed;
-}
-
-int parse_int(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  long parsed = 0;
-  try {
-    parsed = std::stol(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultSpec: bad integer for '" + key +
-                                "': " + value);
-  }
-  if (used != value.size()) {
-    throw std::invalid_argument("FaultSpec: bad integer for '" + key +
-                                "': " + value);
-  }
-  return static_cast<int>(parsed);
-}
-
-void require_probability(const std::string& key, double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("FaultSpec: '" + key +
-                                "' must be a probability in [0, 1]");
-  }
-}
-
-}  // namespace
 
 double FaultSpec::resolved_cutoff(double update_interval) const {
   if (cutoff_value <= 0.0) return std::numeric_limits<double>::infinity();
@@ -57,55 +15,39 @@ double FaultSpec::resolved_cutoff(double update_interval) const {
 }
 
 void FaultSpec::validate() const {
-  if (crash_rate < 0.0 || !std::isfinite(crash_rate)) {
-    throw std::invalid_argument("FaultSpec: 'crash' must be >= 0");
-  }
-  if (has_crashes() && (mean_downtime <= 0.0 || !std::isfinite(mean_downtime))) {
-    throw std::invalid_argument(
-        "FaultSpec: 'down' (mean downtime) must be > 0 when crashes are on");
-  }
-  require_probability("loss", update_loss);
-  require_probability("estdrop", estimator_dropout);
-  if (update_extra_delay < 0.0 || !std::isfinite(update_extra_delay)) {
-    throw std::invalid_argument("FaultSpec: 'delay' must be >= 0");
-  }
-  if (!std::isfinite(cutoff_value) || cutoff_value < 0.0) {
-    throw std::invalid_argument("FaultSpec: 'cutoff' must be >= 0");
-  }
-  if (max_retries < 0) {
-    throw std::invalid_argument("FaultSpec: 'retries' must be >= 0");
-  }
-  if (retry_backoff < 0.0 || !std::isfinite(retry_backoff)) {
-    throw std::invalid_argument("FaultSpec: 'backoff' must be >= 0");
-  }
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw std::invalid_argument(std::string("FaultSpec: ") + message);
+  };
+  // Each bound also rejects NaN: every comparison with NaN is false.
+  const auto at_least_zero = [](double value) {
+    return value >= 0.0 && std::isfinite(value);
+  };
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  require(at_least_zero(crash_rate), "'crash' must be >= 0");
+  require(!has_crashes() ||
+              (mean_downtime > 0.0 && std::isfinite(mean_downtime)),
+          "'down' (mean downtime) must be > 0 when crashes are on");
+  require(probability(update_loss),
+          "'loss' must be a probability in [0, 1]");
+  require(probability(estimator_dropout),
+          "'estdrop' must be a probability in [0, 1]");
+  require(at_least_zero(update_extra_delay), "'delay' must be >= 0");
+  require(at_least_zero(cutoff_value), "'cutoff' must be >= 0");
+  require(max_retries >= 0, "'retries' must be >= 0");
+  require(at_least_zero(retry_backoff), "'backoff' must be >= 0");
 }
 
 FaultSpec FaultSpec::parse(const std::string& text) {
+  constexpr std::string_view kOwner = "FaultSpec";
   FaultSpec spec;
-  std::set<std::string> seen;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("FaultSpec: expected key=value, got '" +
-                                  item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    // Last-wins would make "loss=0.1,loss=0" silently disagree with what the
-    // experimenter thinks they configured; duplicates are always a typo.
-    if (!seen.insert(key).second) {
-      throw std::invalid_argument("FaultSpec: duplicate key '" + key + "'");
-    }
+  for (const auto& item : sim::parse_key_values(text, kOwner)) {
+    const std::string& key = item.first;
+    const std::string& value = item.second;
+    const auto number = [&] { return sim::parse_number(value, kOwner, key); };
     if (key == "crash") {
-      spec.crash_rate = parse_double(key, value);
+      spec.crash_rate = number();
     } else if (key == "down") {
-      spec.mean_downtime = parse_double(key, value);
+      spec.mean_downtime = number();
     } else if (key == "semantics") {
       if (value == "lost") {
         spec.semantics = CrashSemantics::kLostWork;
@@ -117,29 +59,24 @@ FaultSpec FaultSpec::parse(const std::string& text) {
             "'");
       }
     } else if (key == "loss") {
-      spec.update_loss = parse_double(key, value);
+      spec.update_loss = number();
     } else if (key == "delay") {
-      spec.update_extra_delay = parse_double(key, value);
+      spec.update_extra_delay = number();
     } else if (key == "estdrop") {
-      spec.estimator_dropout = parse_double(key, value);
+      spec.estimator_dropout = number();
     } else if (key == "cutoff") {
-      if (!value.empty() && (value.back() == 'T' || value.back() == 't')) {
-        spec.cutoff_value =
-            parse_double(key, value.substr(0, value.size() - 1));
-        spec.cutoff_in_intervals = true;
-      } else {
-        spec.cutoff_value = parse_double(key, value);
-        spec.cutoff_in_intervals = false;
-      }
+      const sim::Span cutoff = sim::parse_span(value, kOwner, key);
+      spec.cutoff_value = cutoff.value;
+      spec.cutoff_in_intervals = cutoff.in_intervals;
     } else if (key == "fallback") {
       if (value.empty()) {
         throw std::invalid_argument("FaultSpec: 'fallback' needs a policy");
       }
       spec.fallback_policy = value;
     } else if (key == "retries") {
-      spec.max_retries = parse_int(key, value);
+      spec.max_retries = sim::parse_integer<int>(value, kOwner, key);
     } else if (key == "backoff") {
-      spec.retry_backoff = parse_double(key, value);
+      spec.retry_backoff = number();
     } else {
       throw std::invalid_argument("FaultSpec: unknown key '" + key + "'");
     }
@@ -155,11 +92,7 @@ std::string FaultSpec::to_string() const {
     out << sep << piece;
     sep = ",";
   };
-  const auto num = [](double v) {
-    std::ostringstream s;
-    s << v;
-    return s.str();
-  };
+  const auto num = sim::format_number;
   if (crash_rate > 0.0) {
     emit("crash=" + num(crash_rate));
     emit("down=" + num(mean_downtime));
@@ -170,7 +103,7 @@ std::string FaultSpec::to_string() const {
   if (update_extra_delay > 0.0) emit("delay=" + num(update_extra_delay));
   if (estimator_dropout > 0.0) emit("estdrop=" + num(estimator_dropout));
   if (cutoff_value > 0.0) {
-    emit("cutoff=" + num(cutoff_value) + (cutoff_in_intervals ? "T" : ""));
+    emit("cutoff=" + sim::format_span(cutoff_value, cutoff_in_intervals));
     emit("fallback=" + fallback_policy);
   }
   if (any() && (max_retries != 3 || retry_backoff != 0.1)) {

@@ -1,59 +1,12 @@
 #include "health/churn_spec.h"
 
 #include <cmath>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/spec.h"
+
 namespace stale::health {
-
-namespace {
-
-double parse_double(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ChurnSpec: bad number for '" + key +
-                                "': " + value);
-  }
-  if (used != value.size() || !std::isfinite(parsed)) {
-    throw std::invalid_argument("ChurnSpec: bad number for '" + key +
-                                "': " + value);
-  }
-  return parsed;
-}
-
-int parse_int(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  long parsed = 0;
-  try {
-    parsed = std::stol(value, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ChurnSpec: bad integer for '" + key +
-                                "': " + value);
-  }
-  if (used != value.size()) {
-    throw std::invalid_argument("ChurnSpec: bad integer for '" + key +
-                                "': " + value);
-  }
-  return static_cast<int>(parsed);
-}
-
-// "2T" -> (2.0, true); "5.0" -> (5.0, false).
-void parse_interval_or_time(const std::string& key, const std::string& value,
-                            double& out_value, bool& out_in_intervals) {
-  if (!value.empty() && (value.back() == 'T' || value.back() == 't')) {
-    out_value = parse_double(key, value.substr(0, value.size() - 1));
-    out_in_intervals = true;
-  } else {
-    out_value = parse_double(key, value);
-    out_in_intervals = false;
-  }
-}
-
-}  // namespace
 
 HealthConfig ChurnSpec::resolved_health(double update_interval) const {
   HealthConfig config;
@@ -72,100 +25,68 @@ HealthConfig ChurnSpec::resolved_health(double update_interval) const {
 }
 
 void ChurnSpec::validate() const {
-  if (restart_every < 0.0 || !std::isfinite(restart_every)) {
-    throw std::invalid_argument("ChurnSpec: 'restart' must be >= 0");
-  }
-  if (has_restarts() &&
-      (restart_down <= 0.0 || !std::isfinite(restart_down))) {
-    throw std::invalid_argument(
-        "ChurnSpec: 'restartdown' must be > 0 when restarts are on");
-  }
-  if (leave_rate < 0.0 || !std::isfinite(leave_rate)) {
-    throw std::invalid_argument("ChurnSpec: 'leave' must be >= 0");
-  }
-  if (has_leaves() && (rejoin_delay <= 0.0 || !std::isfinite(rejoin_delay))) {
-    throw std::invalid_argument(
-        "ChurnSpec: 'rejoin' must be > 0 when leaves are on");
-  }
-  if (slow < 0) {
-    throw std::invalid_argument("ChurnSpec: 'slow' must be >= 0");
-  }
-  if (has_slow_nodes() &&
-      (slow_factor <= 0.0 || slow_factor > 1.0 ||
-       !std::isfinite(slow_factor))) {
-    throw std::invalid_argument(
-        "ChurnSpec: 'slowfactor' must be in (0, 1] when slow nodes are on");
-  }
-  if (suspect_value <= 0.0 || !std::isfinite(suspect_value)) {
-    throw std::invalid_argument("ChurnSpec: 'suspect' must be > 0");
-  }
-  if (evict_value <= 0.0 || !std::isfinite(evict_value)) {
-    throw std::invalid_argument("ChurnSpec: 'evict' must be > 0");
-  }
-  if (suspect_in_intervals == evict_in_intervals &&
-      evict_value <= suspect_value) {
-    throw std::invalid_argument(
-        "ChurnSpec: 'evict' must exceed 'suspect'");
-  }
-  if (probation_reports < 1) {
-    throw std::invalid_argument("ChurnSpec: 'probation' must be >= 1");
-  }
-  if (probe_backoff <= 0.0 || !std::isfinite(probe_backoff)) {
-    throw std::invalid_argument("ChurnSpec: 'probe' must be > 0");
-  }
-  if (probe_backoff_max < probe_backoff || !std::isfinite(probe_backoff_max)) {
-    throw std::invalid_argument("ChurnSpec: 'probemax' must be >= 'probe'");
-  }
-  if (coverage_threshold < 0.0 || coverage_threshold > 1.0 ||
-      !std::isfinite(coverage_threshold)) {
-    throw std::invalid_argument(
-        "ChurnSpec: 'coverage' must be a fraction in [0, 1]");
-  }
-  if (fallback_policy.empty()) {
-    throw std::invalid_argument("ChurnSpec: 'fallback' needs a policy");
-  }
-  if (max_retries < 0) {
-    throw std::invalid_argument("ChurnSpec: 'retries' must be >= 0");
-  }
-  if (retry_backoff < 0.0 || !std::isfinite(retry_backoff)) {
-    throw std::invalid_argument("ChurnSpec: 'backoff' must be >= 0");
-  }
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw std::invalid_argument(std::string("ChurnSpec: ") + message);
+  };
+  // Each bound also rejects NaN: every comparison with NaN is false.
+  const auto at_least = [](double value, double lo) {
+    return value >= lo && std::isfinite(value);
+  };
+  const auto positive = [](double value) {
+    return value > 0.0 && std::isfinite(value);
+  };
+  require(at_least(restart_every, 0.0), "'restart' must be >= 0");
+  require(!has_restarts() || positive(restart_down),
+          "'restartdown' must be > 0 when restarts are on");
+  require(at_least(leave_rate, 0.0), "'leave' must be >= 0");
+  require(!has_leaves() || positive(rejoin_delay),
+          "'rejoin' must be > 0 when leaves are on");
+  require(slow >= 0, "'slow' must be >= 0");
+  require(!has_slow_nodes() || (positive(slow_factor) && slow_factor <= 1.0),
+          "'slowfactor' must be in (0, 1] when slow nodes are on");
+  require(positive(suspect_value), "'suspect' must be > 0");
+  require(positive(evict_value), "'evict' must be > 0");
+  require(suspect_in_intervals != evict_in_intervals ||
+              evict_value > suspect_value,
+          "'evict' must exceed 'suspect'");
+  require(probation_reports >= 1, "'probation' must be >= 1");
+  require(positive(probe_backoff), "'probe' must be > 0");
+  require(at_least(probe_backoff_max, probe_backoff),
+          "'probemax' must be >= 'probe'");
+  require(at_least(coverage_threshold, 0.0) && coverage_threshold <= 1.0,
+          "'coverage' must be a fraction in [0, 1]");
+  require(!fallback_policy.empty(), "'fallback' needs a policy");
+  require(max_retries >= 0, "'retries' must be >= 0");
+  require(at_least(retry_backoff, 0.0), "'backoff' must be >= 0");
 }
 
 ChurnSpec ChurnSpec::parse(const std::string& text) {
+  constexpr std::string_view kOwner = "ChurnSpec";
   ChurnSpec spec;
-  std::set<std::string> seen;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("ChurnSpec: expected key=value, got '" +
-                                  item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    // Last-wins would make "leave=0.1,leave=0" silently disagree with what
-    // the experimenter thinks they configured; duplicates are always a typo.
-    if (!seen.insert(key).second) {
-      throw std::invalid_argument("ChurnSpec: duplicate key '" + key + "'");
-    }
+  for (const auto& item : sim::parse_key_values(text, kOwner)) {
+    const std::string& key = item.first;
+    const std::string& value = item.second;
+    const auto number = [&] { return sim::parse_number(value, kOwner, key); };
+    const auto integer = [&] {
+      return sim::parse_integer<int>(value, kOwner, key);
+    };
+    const auto span = [&](double& out_value, bool& out_in_intervals) {
+      const sim::Span parsed = sim::parse_span(value, kOwner, key);
+      out_value = parsed.value;
+      out_in_intervals = parsed.in_intervals;
+    };
     if (key == "restart") {
-      spec.restart_every = parse_double(key, value);
+      spec.restart_every = number();
     } else if (key == "restartdown") {
-      spec.restart_down = parse_double(key, value);
+      spec.restart_down = number();
     } else if (key == "leave") {
-      spec.leave_rate = parse_double(key, value);
+      spec.leave_rate = number();
     } else if (key == "rejoin") {
-      spec.rejoin_delay = parse_double(key, value);
+      spec.rejoin_delay = number();
     } else if (key == "slow") {
-      spec.slow = parse_int(key, value);
+      spec.slow = integer();
     } else if (key == "slowfactor") {
-      spec.slow_factor = parse_double(key, value);
+      spec.slow_factor = number();
     } else if (key == "semantics") {
       if (value == "lost") {
         spec.semantics = fault::CrashSemantics::kLostWork;
@@ -177,28 +98,26 @@ ChurnSpec ChurnSpec::parse(const std::string& text) {
             "'");
       }
     } else if (key == "suspect") {
-      parse_interval_or_time(key, value, spec.suspect_value,
-                             spec.suspect_in_intervals);
+      span(spec.suspect_value, spec.suspect_in_intervals);
     } else if (key == "evict") {
-      parse_interval_or_time(key, value, spec.evict_value,
-                             spec.evict_in_intervals);
+      span(spec.evict_value, spec.evict_in_intervals);
     } else if (key == "probation") {
-      spec.probation_reports = parse_int(key, value);
+      spec.probation_reports = integer();
     } else if (key == "probe") {
-      spec.probe_backoff = parse_double(key, value);
+      spec.probe_backoff = number();
     } else if (key == "probemax") {
-      spec.probe_backoff_max = parse_double(key, value);
+      spec.probe_backoff_max = number();
     } else if (key == "coverage") {
-      spec.coverage_threshold = parse_double(key, value);
+      spec.coverage_threshold = number();
     } else if (key == "fallback") {
       if (value.empty()) {
         throw std::invalid_argument("ChurnSpec: 'fallback' needs a policy");
       }
       spec.fallback_policy = value;
     } else if (key == "retries") {
-      spec.max_retries = parse_int(key, value);
+      spec.max_retries = integer();
     } else if (key == "backoff") {
-      spec.retry_backoff = parse_double(key, value);
+      spec.retry_backoff = number();
     } else {
       throw std::invalid_argument("ChurnSpec: unknown key '" + key + "'");
     }
@@ -214,14 +133,8 @@ std::string ChurnSpec::to_string() const {
     out << sep << piece;
     sep = ",";
   };
-  const auto num = [](double v) {
-    std::ostringstream s;
-    s << v;
-    return s.str();
-  };
-  const auto span = [&num](double value, bool in_intervals) {
-    return num(value) + (in_intervals ? "T" : "");
-  };
+  const auto num = sim::format_number;
+  const auto span = sim::format_span;
   if (has_restarts()) {
     emit("restart=" + num(restart_every));
     emit("restartdown=" + num(restart_down));

@@ -24,81 +24,6 @@ sim::Rng split_stream(std::uint64_t seed, int stream) {
   return rng;
 }
 
-double parse_spec_field(const std::string& spec, const std::string& field) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(field, &used);
-    if (used != field.size()) throw std::invalid_argument(field);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("estimator spec '" + spec +
-                                "': bad number '" + field + "'");
-  }
-}
-
-// --estimator grammar (see DispatcherOptions::estimator_spec). Near-zero
-// initial rates (the estimators reject exactly 0): until arrivals accumulate,
-// LI degrades toward "interpret the board as fresh" — the paper's K = 0.
-core::RateEstimatorPtr make_live_estimator(const std::string& spec,
-                                           double update_period,
-                                           double rate_window) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t colon = spec.find(':', start);
-    if (colon == std::string::npos) {
-      parts.push_back(spec.substr(start));
-      break;
-    }
-    parts.push_back(spec.substr(start, colon - start));
-    start = colon + 1;
-  }
-  const std::string& kind = parts[0];
-  if (kind == "windowed") {
-    if (parts.size() > 2) {
-      throw std::invalid_argument("estimator spec: expected windowed[:W]");
-    }
-    double window = parts.size() == 2 ? parse_spec_field(spec, parts[1])
-                                      : rate_window;
-    if (window <= 0.0) window = 4.0 * std::max(update_period, 0.25);
-    return std::make_unique<core::WindowedRateEstimator>(window, 1e-9);
-  }
-  if (kind == "ewma") {
-    if (parts.size() != 2) {
-      throw std::invalid_argument("estimator spec: expected ewma:TAU");
-    }
-    const double tau = parse_spec_field(spec, parts[1]);
-    if (tau <= 0.0) {
-      throw std::invalid_argument("estimator spec: ewma tau must be > 0");
-    }
-    return std::make_unique<core::EwmaRateEstimator>(tau, 1e-9);
-  }
-  if (kind == "cema") {
-    if (parts.size() > 3) {
-      throw std::invalid_argument("estimator spec: expected cema[:A[:B]]");
-    }
-    const double alpha =
-        parts.size() >= 2 ? parse_spec_field(spec, parts[1]) : 0.1;
-    const double bucket = parts.size() == 3
-                              ? parse_spec_field(spec, parts[2])
-                              : std::max(update_period, 0.05) / 2.0;
-    return std::make_unique<workload::CemaRateEstimator>(alpha, bucket, 1e-9);
-  }
-  if (kind == "fixed") {
-    if (parts.size() != 2) {
-      throw std::invalid_argument("estimator spec: expected fixed:RATE");
-    }
-    const double rate = parse_spec_field(spec, parts[1]);
-    if (rate <= 0.0) {
-      throw std::invalid_argument("estimator spec: fixed rate must be > 0");
-    }
-    return std::make_unique<core::ConservativeRateEstimator>(rate);
-  }
-  throw std::invalid_argument(
-      "unknown estimator spec '" + spec +
-      "' (expected windowed[:W] | ewma:TAU | cema[:A[:B]] | fixed:RATE)");
-}
-
 }  // namespace
 
 Dispatcher::Dispatcher(const DispatcherOptions& options)
@@ -135,8 +60,14 @@ Dispatcher::Dispatcher(const DispatcherOptions& options)
     health_tick_period_ =
         std::max(0.05, options_.health.suspect_timeout / 4.0);
   }
-  rate_ = make_live_estimator(options_.estimator_spec, options_.update_period,
-                              options_.rate_window);
+  // Live, only T is known: no configured lambda and no service capacity.
+  // The near-zero initial rate makes LI read the board as fresh (K = 0)
+  // until arrivals accumulate.
+  workload::RateEstimatorContext estimator_context;
+  estimator_context.update_interval = options_.update_period;
+  estimator_context.initial_rate = 1e-9;
+  rate_ = workload::make_rate_estimator(options_.estimator_spec,
+                                        estimator_context);
 
   listen_fd_ = tcp_listen(options.host, options.tcp_port, &tcp_port_);
   udp_fd_ = udp_bind(options.host, options.udp_port, &udp_port_);

@@ -70,18 +70,18 @@ struct DispatcherOptions {
   UpdateSchedule schedule = UpdateSchedule::kPeriodic;
   double update_period = 1.0;  // T (phase length LI interprets against)
 
-  // Arrival-rate estimation window for DispatchContext::lambda_total;
-  // <= 0 picks 4 * update_period. Applies to the default windowed estimator
-  // only (see estimator_spec).
-  double rate_window = 0.0;
-
-  // Which lambda-hat feeds the LI policies (--estimator):
-  //   windowed[:W]   sliding-window count/W (the default; W from rate_window)
-  //   ewma:TAU       exponential moving average with time constant TAU
-  //   cema[:A[:B]]   bias-corrected bucketed CEMA (alpha A, bucket width B;
-  //                  defaults 0.1 and update_period/2)
-  //   fixed:RATE     a constant — the paper's "operator tells the dispatcher
-  //                  lambda" baseline, deliberately blind to load shifts
+  // Which lambda-hat feeds DispatchContext::lambda_total for the LI
+  // policies (--estimator), in the grammar the simulator shares
+  // (workload::make_rate_estimator):
+  //   windowed[:W]          sliding-window count/W (the default;
+  //                         W = 4 * max(update_period, 0.25))
+  //   ewma:TAU              exponential moving average, time constant TAU
+  //   cema[:ALPHA[:BUCKET]] bias-corrected bucketed CEMA (defaults 0.1 and
+  //                         max(update_period, 0.05) / 2)
+  //   fixed:RATE            a constant — the paper's "operator tells the
+  //                         dispatcher lambda" baseline, blind to load shifts
+  // A bare "fixed", "told" and "conservative" fail: live there is no
+  // configured lambda and no known service capacity to stand on.
   std::string estimator_spec = "windowed";
 
   double duration = 0.0;  // seconds; <= 0 = run until stopped

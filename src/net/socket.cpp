@@ -11,6 +11,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/spec.h"
+
 namespace stale::net {
 
 namespace {
@@ -65,19 +67,18 @@ Endpoint parse_endpoint(const std::string& text) {
   }
   Endpoint endpoint;
   endpoint.host = text.substr(0, colon);
-  const std::string port_text = text.substr(colon + 1);
-  std::size_t used = 0;
-  long port = 0;
-  try {
-    port = std::stol(port_text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad port in endpoint '" + text + "'");
-  }
-  if (used != port_text.size() || port < 0 || port > 65535) {
-    throw std::invalid_argument("bad port in endpoint '" + text + "'");
-  }
-  endpoint.port = static_cast<std::uint16_t>(port);
+  endpoint.port = sim::parse_integer<std::uint16_t>(
+      std::string_view(text).substr(colon + 1), "endpoint '" + text + "'",
+      "port");
   return endpoint;
+}
+
+std::vector<Endpoint> parse_endpoint_list(const std::string& text) {
+  std::vector<Endpoint> endpoints;
+  for (const std::string& one : sim::split_fields(text, ',')) {
+    endpoints.push_back(parse_endpoint(one));
+  }
+  return endpoints;
 }
 
 void Fd::reset(int fd) {

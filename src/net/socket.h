@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace stale::net {
 
@@ -22,6 +23,11 @@ struct Endpoint {
 
 // Throws std::invalid_argument on a malformed spec or out-of-range port.
 Endpoint parse_endpoint(const std::string& text);
+
+// "HOST:PORT[,HOST:PORT...]" -> endpoints, one per dispatcher shard. Throws
+// like parse_endpoint on any bad entry, including the empty one a trailing
+// comma or an empty list leaves.
+std::vector<Endpoint> parse_endpoint_list(const std::string& text);
 
 // Move-only owner of a file descriptor.
 class Fd {

@@ -1,6 +1,5 @@
 #include "policy/policy_factory.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "policy/aggressive_li_policy.h"
@@ -10,81 +9,58 @@
 #include "policy/li_subset_policy.h"
 #include "policy/random_policy.h"
 #include "policy/threshold_policy.h"
+#include "sim/spec.h"
 
 namespace stale::policy {
 
-namespace {
-
-std::vector<std::string> split(const std::string& spec, char sep) {
-  std::vector<std::string> parts;
-  std::string token;
-  std::istringstream in(spec);
-  while (std::getline(in, token, sep)) parts.push_back(token);
-  return parts;
-}
-
-int parse_int(const std::string& text, const char* what) {
-  std::size_t pos = 0;
-  int value = 0;
-  try {
-    value = std::stoi(text, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("make_policy: bad ") + what +
-                                " '" + text + "'");
-  }
-  if (pos != text.size()) {
-    throw std::invalid_argument(std::string("make_policy: bad ") + what +
-                                " '" + text + "'");
-  }
-  return value;
-}
-
-}  // namespace
-
 PolicyPtr make_policy(const std::string& spec) {
-  const std::vector<std::string> parts = split(spec, ':');
-  if (parts.empty()) throw std::invalid_argument("make_policy: empty spec");
-  const std::string& kind = parts[0];
+  // Every error, the constructors' range checks included, comes out as
+  // "policy 'SPEC': ...".
+  return sim::with_spec_context("policy", spec, [&]() -> PolicyPtr {
+    const std::vector<std::string> parts = sim::split_fields(spec, ':');
+    const std::string& kind = parts[0];
+    const auto expect_arity = [&](std::size_t arity) {
+      if (parts.size() != arity) {
+        throw std::invalid_argument("wrong parameter count for '" + kind +
+                                    "'");
+      }
+    };
+    const auto integer = [&](std::size_t i, const char* field) {
+      return sim::parse_integer<int>(parts[i], "", field);
+    };
 
-  auto expect_arity = [&](std::size_t arity) {
-    if (parts.size() != arity) {
-      throw std::invalid_argument("make_policy: wrong parameter count for '" +
-                                  kind + "'");
+    if (kind == "random") {
+      expect_arity(1);
+      return std::make_unique<RandomPolicy>();
     }
-  };
-
-  if (kind == "random") {
-    expect_arity(1);
-    return std::make_unique<RandomPolicy>();
-  }
-  if (kind == "k_subset") {
-    expect_arity(2);
-    return std::make_unique<KSubsetPolicy>(parse_int(parts[1], "k"));
-  }
-  if (kind == "threshold") {
-    expect_arity(3);
-    const int k = parts[1] == "all" ? SelectionPolicy::kAllServers
-                                    : parse_int(parts[1], "k");
-    return std::make_unique<ThresholdPolicy>(k,
-                                             parse_int(parts[2], "threshold"));
-  }
-  if (kind == "basic_li") {
-    expect_arity(1);
-    return std::make_unique<BasicLiPolicy>();
-  }
-  if (kind == "aggressive_li") {
-    expect_arity(1);
-    return std::make_unique<AggressiveLiPolicy>();
-  }
-  if (kind == "hybrid_li") {
-    expect_arity(1);
-    return std::make_unique<HybridLiPolicy>();
-  }
-  if (kind == "basic_li_k") {
-    expect_arity(2);
-    return std::make_unique<LiSubsetPolicy>(parse_int(parts[1], "k"));
-  }
-  throw std::invalid_argument("make_policy: unknown policy '" + kind + "'");
+    if (kind == "k_subset") {
+      expect_arity(2);
+      return std::make_unique<KSubsetPolicy>(integer(1, "k"));
+    }
+    if (kind == "threshold") {
+      expect_arity(3);
+      const int k = parts[1] == "all" ? SelectionPolicy::kAllServers
+                                      : integer(1, "k");
+      return std::make_unique<ThresholdPolicy>(k, integer(2, "threshold"));
+    }
+    if (kind == "basic_li") {
+      expect_arity(1);
+      return std::make_unique<BasicLiPolicy>();
+    }
+    if (kind == "aggressive_li") {
+      expect_arity(1);
+      return std::make_unique<AggressiveLiPolicy>();
+    }
+    if (kind == "hybrid_li") {
+      expect_arity(1);
+      return std::make_unique<HybridLiPolicy>();
+    }
+    if (kind == "basic_li_k") {
+      expect_arity(2);
+      return std::make_unique<LiSubsetPolicy>(integer(1, "k"));
+    }
+    throw std::invalid_argument("unknown policy '" + kind + "'");
+  });
 }
 
 std::vector<std::string> known_policy_specs() {

@@ -1,9 +1,10 @@
 #include "sim/distributions.h"
 
-#include <sstream>
+#include <initializer_list>
 #include <vector>
 
 #include "check/contracts.h"
+#include "sim/spec.h"
 
 namespace stale::sim {
 
@@ -20,9 +21,7 @@ Deterministic::Deterministic(double value) : value_(value) {
 }
 
 std::string Deterministic::describe() const {
-  std::ostringstream os;
-  os << "det:" << value_;
-  return os.str();
+  return "det:" + format_number(value_);
 }
 
 Exponential::Exponential(double mean) : mean_(mean) {
@@ -30,9 +29,7 @@ Exponential::Exponential(double mean) : mean_(mean) {
 }
 
 std::string Exponential::describe() const {
-  std::ostringstream os;
-  os << "exp:" << mean_;
-  return os.str();
+  return "exp:" + format_number(mean_);
 }
 
 Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
@@ -40,9 +37,7 @@ Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
 }
 
 std::string Uniform::describe() const {
-  std::ostringstream os;
-  os << "uniform:" << lo_ << ":" << hi_;
-  return os.str();
+  return "uniform:" + format_number(lo_) + ":" + format_number(hi_);
 }
 
 BoundedPareto::BoundedPareto(double alpha, double k, double p)
@@ -68,7 +63,11 @@ BoundedPareto BoundedPareto::with_mean(double alpha, double mean,
     }
   }
   const BoundedPareto fitted(alpha, 0.5 * (lo + hi), p);
-  STALE_DCHECK(std::abs(fitted.mean() - mean) <= 1e-6 * mean);
+  // Extreme shapes overflow the moment integral; refuse them rather than
+  // hand back a distribution with the wrong mean.
+  require(std::abs(fitted.mean() - mean) <= 1e-6 * mean,
+          "BoundedPareto::with_mean: no fit reaches the requested mean");
+  STALE_DCHECK(fitted.k() > 0.0 && fitted.k() < p);
   return fitted;
 }
 
@@ -104,9 +103,8 @@ double BoundedPareto::variance() const {
 }
 
 std::string BoundedPareto::describe() const {
-  std::ostringstream os;
-  os << "bp:" << alpha_ << ":" << k_ << ":" << p_;
-  return os.str();
+  return "bp:" + format_number(alpha_) + ":" + format_number(k_) + ":" +
+         format_number(p_);
 }
 
 Hyperexponential::Hyperexponential(double prob1, double mean1, double mean2)
@@ -132,54 +130,55 @@ double Hyperexponential::variance() const {
 }
 
 std::string Hyperexponential::describe() const {
-  std::ostringstream os;
-  os << "hyper:" << prob1_ << ":" << mean1_ << ":" << mean2_;
-  return os.str();
+  return "hyper:" + format_number(prob1_) + ":" + format_number(mean1_) + ":" +
+         format_number(mean2_);
 }
 
 DistributionPtr parse_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::string token;
-  std::istringstream in(spec);
-  while (std::getline(in, token, ':')) parts.push_back(token);
-  require(!parts.empty(), "parse_distribution: empty spec");
-
-  auto num = [&](std::size_t i) -> double {
-    require(i < parts.size(), "parse_distribution: missing parameter");
-    std::size_t pos = 0;
-    const double v = std::stod(parts[i], &pos);
-    require(pos == parts[i].size(), "parse_distribution: bad number");
-    return v;
-  };
-
-  const std::string& kind = parts[0];
-  if (kind == "det") {
-    require(parts.size() == 2, "det takes 1 parameter");
-    return std::make_unique<Deterministic>(num(1));
-  }
-  if (kind == "exp") {
-    require(parts.size() == 2, "exp takes 1 parameter");
-    return std::make_unique<Exponential>(num(1));
-  }
-  if (kind == "uniform") {
-    require(parts.size() == 3, "uniform takes 2 parameters");
-    return std::make_unique<Uniform>(num(1), num(2));
-  }
-  if (kind == "bp") {
-    require(parts.size() == 4, "bp takes 3 parameters");
-    return std::make_unique<BoundedPareto>(num(1), num(2), num(3));
-  }
-  if (kind == "bpmean") {
-    require(parts.size() == 4, "bpmean takes 3 parameters");
-    return std::make_unique<BoundedPareto>(
-        BoundedPareto::with_mean(num(1), num(2), num(3)));
-  }
-  if (kind == "hyper") {
-    require(parts.size() == 4, "hyper takes 3 parameters");
-    return std::make_unique<Hyperexponential>(num(1), num(2), num(3));
-  }
-  throw std::invalid_argument("parse_distribution: unknown kind '" + kind +
-                              "'");
+  // Every error, the constructors' range checks included, comes out as
+  // "distribution 'SPEC': ...".
+  return with_spec_context("distribution", spec, [&]() -> DistributionPtr {
+    const std::vector<std::string> parts = split_fields(spec, ':');
+    const std::string& kind = parts[0];
+    // The kind's parameter names, checked against the field count first.
+    const auto fields = [&](std::initializer_list<const char*> names) {
+      if (parts.size() != names.size() + 1) {
+        throw std::invalid_argument(
+            kind + " takes " + std::to_string(names.size()) + " parameter" +
+            (names.size() == 1 ? "" : "s"));
+      }
+      std::vector<double> values;
+      std::size_t i = 1;
+      for (const char* name : names) {
+        values.push_back(parse_number(parts[i++], "", name));
+      }
+      return values;
+    };
+    if (kind == "det") {
+      return std::make_unique<Deterministic>(fields({"VALUE"})[0]);
+    }
+    if (kind == "exp") {
+      return std::make_unique<Exponential>(fields({"MEAN"})[0]);
+    }
+    if (kind == "uniform") {
+      const auto v = fields({"LO", "HI"});
+      return std::make_unique<Uniform>(v[0], v[1]);
+    }
+    if (kind == "bp") {
+      const auto v = fields({"ALPHA", "K", "P"});
+      return std::make_unique<BoundedPareto>(v[0], v[1], v[2]);
+    }
+    if (kind == "bpmean") {
+      const auto v = fields({"ALPHA", "MEAN", "MAXOVERMEAN"});
+      return std::make_unique<BoundedPareto>(
+          BoundedPareto::with_mean(v[0], v[1], v[2]));
+    }
+    if (kind == "hyper") {
+      const auto v = fields({"P", "M1", "M2"});
+      return std::make_unique<Hyperexponential>(v[0], v[1], v[2]);
+    }
+    throw std::invalid_argument("unknown kind '" + kind + "'");
+  });
 }
 
 }  // namespace stale::sim

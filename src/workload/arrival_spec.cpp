@@ -1,46 +1,16 @@
 #include "workload/arrival_spec.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "check/contracts.h"
+#include "sim/spec.h"
 #include "workload/trace.h"
 
 namespace stale::workload {
 
 namespace {
-
-// Splits "name:a:b:c" into {"name", "a", "b", "c"}.
-std::vector<std::string> split_spec(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t colon = spec.find(':', start);
-    if (colon == std::string::npos) {
-      parts.push_back(spec.substr(start));
-      return parts;
-    }
-    parts.push_back(spec.substr(start, colon - start));
-    start = colon + 1;
-  }
-}
-
-double parse_field(const std::string& spec, const std::string& field,
-                   const char* name) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(field, &used);
-    if (used != field.size() || !std::isfinite(value)) {
-      throw std::invalid_argument("trailing garbage");
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("arrival spec '" + spec + "': bad " + name +
-                                " '" + field + "'");
-  }
-}
 
 struct ParsedSpec {
   std::string kind;
@@ -48,46 +18,48 @@ struct ParsedSpec {
   std::string path;  // trace specs only
 };
 
+// Errors here and in build() are unprefixed; with_spec_context adds
+// "arrival spec 'SPEC': ".
 ParsedSpec parse_spec(const std::string& spec) {
-  const std::vector<std::string> parts = split_spec(spec);
+  const std::vector<std::string> parts = sim::split_fields(spec, ':');
   ParsedSpec parsed;
   parsed.kind = parts[0];
   if (parsed.kind == "poisson") {
     if (parts.size() != 1) {
-      throw std::invalid_argument("arrival spec 'poisson' takes no parameters");
+      throw std::invalid_argument("poisson takes no parameters");
     }
     return parsed;
   }
   if (parsed.kind == "trace") {
     if (parts.size() != 2 || parts[1].empty()) {
-      throw std::invalid_argument("arrival spec 'trace' needs a path: "
-                                  "trace:FILE");
+      throw std::invalid_argument("expected trace:FILE");
     }
     parsed.path = parts[1];
     return parsed;
   }
   static const struct {
     const char* kind;
-    std::size_t params;
+    std::vector<const char*> fields;
     const char* usage;
   } kForms[] = {
-      {"mmpp", 4, "mmpp:M1:M2:D1:D2"},
-      {"ramp", 2, "ramp:PERIOD:AMP"},
-      {"flash", 5, "flash:AT:MULT:RAMP:HOLD:DECAY"},
+      {"mmpp", {"M1", "M2", "D1", "D2"}, "mmpp:M1:M2:D1:D2"},
+      {"ramp", {"PERIOD", "AMP"}, "ramp:PERIOD:AMP"},
+      {"flash", {"AT", "MULT", "RAMP", "HOLD", "DECAY"},
+       "flash:AT:MULT:RAMP:HOLD:DECAY"},
   };
   for (const auto& form : kForms) {
     if (parsed.kind != form.kind) continue;
-    if (parts.size() != form.params + 1) {
-      throw std::invalid_argument("arrival spec '" + spec + "': expected " +
-                                  form.usage);
+    if (parts.size() != form.fields.size() + 1) {
+      throw std::invalid_argument(std::string("expected ") + form.usage);
     }
     for (std::size_t i = 1; i < parts.size(); ++i) {
-      parsed.params.push_back(parse_field(spec, parts[i], "parameter"));
+      parsed.params.push_back(
+          sim::parse_number(parts[i], "", form.fields[i - 1]));
     }
     return parsed;
   }
   throw std::invalid_argument(
-      "unknown arrival spec '" + spec +
+      "unknown kind '" + parsed.kind +
       "' (expected poisson | mmpp:M1:M2:D1:D2 | ramp:PERIOD:AMP | "
       "flash:AT:MULT:RAMP:HOLD:DECAY | trace:FILE)");
 }
@@ -113,6 +85,9 @@ ArrivalProcessPtr build(const ParsedSpec& parsed, double base_rate,
     }
     if (d0 <= 0.0 || d1 <= 0.0) {
       throw std::invalid_argument("mmpp: dwell times must be > 0");
+    }
+    if (!std::isfinite(base_rate * (m0 * d0 + m1 * d1) / (d0 + d1))) {
+      throw std::invalid_argument("mmpp: long-run rate overflows");
     }
     if (dry_run) return nullptr;
     return std::make_unique<MmppProcess>(base_rate * m0, base_rate * m1, d0,
@@ -157,11 +132,15 @@ ArrivalProcessPtr make_arrival_process(const std::string& spec,
   if (base_rate <= 0.0) {
     throw std::invalid_argument("make_arrival_process: base rate must be > 0");
   }
-  return build(parse_spec(spec), base_rate, /*dry_run=*/false);
+  return sim::with_spec_context("arrival spec", spec, [&] {
+    return build(parse_spec(spec), base_rate, /*dry_run=*/false);
+  });
 }
 
 void validate_arrival_spec(const std::string& spec) {
-  build(parse_spec(spec), /*base_rate=*/1.0, /*dry_run=*/true);
+  sim::with_spec_context("arrival spec", spec, [&] {
+    build(parse_spec(spec), /*base_rate=*/1.0, /*dry_run=*/true);
+  });
 }
 
 // --- MMPP ------------------------------------------------------------------
@@ -203,10 +182,9 @@ double MmppProcess::next_gap(sim::Rng& rng) {
 }
 
 std::string MmppProcess::describe() const {
-  std::ostringstream os;
-  os << "mmpp(rates " << rates_[0] << "/" << rates_[1] << ", dwells "
-     << dwells_[0] << "/" << dwells_[1] << ")";
-  return os.str();
+  const auto num = sim::format_number;
+  return "mmpp(rates " + num(rates_[0]) + "/" + num(rates_[1]) + ", dwells " +
+         num(dwells_[0]) + "/" + num(dwells_[1]) + ")";
 }
 
 void MmppProcess::reset() {
@@ -268,16 +246,14 @@ double ModulatedPoissonProcess::next_gap(sim::Rng& rng) {
 }
 
 std::string ModulatedPoissonProcess::describe() const {
-  std::ostringstream os;
+  const auto num = sim::format_number;
   if (shape_ == Shape::kRamp) {
-    os << "ramp(base " << base_rate_ << ", period " << ramp_.period
-       << ", amp " << ramp_.amplitude << ")";
-  } else {
-    os << "flash(base " << base_rate_ << ", at " << flash_.at << ", x"
-       << flash_.mult << ", ramp " << flash_.ramp << ", hold " << flash_.hold
-       << ", decay " << flash_.decay << ")";
+    return "ramp(base " + num(base_rate_) + ", period " + num(ramp_.period) +
+           ", amp " + num(ramp_.amplitude) + ")";
   }
-  return os.str();
+  return "flash(base " + num(base_rate_) + ", at " + num(flash_.at) + ", x" +
+         num(flash_.mult) + ", ramp " + num(flash_.ramp) + ", hold " +
+         num(flash_.hold) + ", decay " + num(flash_.decay) + ")";
 }
 
 }  // namespace stale::workload

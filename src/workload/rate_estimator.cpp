@@ -1,8 +1,11 @@
 #include "workload/rate_estimator.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "sim/spec.h"
 
 namespace stale::workload {
 
@@ -76,10 +79,76 @@ double CemaRateEstimator::rate() const {
 }
 
 std::string CemaRateEstimator::describe() const {
-  std::ostringstream os;
-  os << "cema(alpha " << alpha_ << ", bucket " << bucket_ << ", initial "
-     << initial_rate_ << ")";
-  return os.str();
+  return "cema(alpha " + sim::format_number(alpha_) + ", bucket " +
+         sim::format_number(bucket_) + ", initial " +
+         sim::format_number(initial_rate_) + ")";
+}
+
+core::RateEstimatorPtr make_rate_estimator(
+    const std::string& spec, const RateEstimatorContext& context) {
+  const std::string owner = "rate_estimator '" + spec + "'";
+  const auto fail = [&](const std::string& message) {
+    throw std::invalid_argument(owner + ": " + message);
+  };
+  const std::vector<std::string> fields = sim::split_fields(spec, ':');
+  const std::string& kind = fields.front();
+  const std::size_t params = fields.size() - 1;
+  const auto expect = [&](bool ok, const char* grammar) {
+    if (!ok) fail(std::string("expected ") + grammar);
+  };
+  // Field i, or `fallback` when the spec stops before it; must be > 0.
+  const auto positive = [&](std::size_t i, const char* name,
+                            double fallback) {
+    const double value =
+        i <= params ? sim::parse_number(fields[i], owner, name) : fallback;
+    if (value <= 0.0) fail(std::string(name) + " must be > 0");
+    return value;
+  };
+  const double initial = context.initial_rate;
+  const double t = context.update_interval;
+  if (kind == "told" || (kind == "fixed" && params == 0)) {
+    expect(params == 0, "told");
+    if (!context.has_told_rate) {
+      fail("there is no configured arrival rate to believe here; name one "
+           "with fixed:RATE");
+    }
+    return nullptr;
+  }
+  if (kind == "fixed") {
+    expect(params == 1, "fixed[:RATE]");
+    return std::make_unique<core::ConservativeRateEstimator>(
+        positive(1, "RATE", 0.0));
+  }
+  if (kind == "conservative") {
+    expect(params == 0, "conservative");
+    if (context.capacity <= 0.0) {
+      fail("the service capacity is not known here; name a rate with "
+           "fixed:RATE");
+    }
+    return std::make_unique<core::ConservativeRateEstimator>(context.capacity);
+  }
+  if (kind == "ewma") {
+    expect(params == 1, "ewma:TAU");
+    return std::make_unique<core::EwmaRateEstimator>(positive(1, "TAU", 0.0),
+                                                     initial);
+  }
+  if (kind == "windowed") {
+    expect(params <= 1, "windowed[:W]");
+    return std::make_unique<core::WindowedRateEstimator>(
+        positive(1, "W", 4.0 * std::max(t, 0.25)), initial);
+  }
+  if (kind == "cema") {
+    expect(params <= 2, "cema[:ALPHA[:BUCKET]]");
+    const double alpha =
+        params >= 1 ? sim::parse_number(fields[1], owner, "ALPHA") : 0.1;
+    if (!(alpha > 0.0 && alpha < 1.0)) fail("ALPHA must be in (0, 1)");
+    return std::make_unique<CemaRateEstimator>(
+        alpha, positive(2, "BUCKET", std::max(t, 0.05) / 2.0), initial);
+  }
+  throw std::invalid_argument(
+      "unknown rate_estimator '" + spec +
+      "' (expected told | fixed[:RATE] | conservative | ewma:TAU | "
+      "windowed[:W] | cema[:ALPHA[:BUCKET]])");
 }
 
 }  // namespace stale::workload

@@ -65,4 +65,30 @@ class CemaRateEstimator final : public core::RateEstimator {
   Cema cema_;
 };
 
+// What a caller knows when it builds lambda-hat: the simulator all of it,
+// the live dispatcher only T.
+struct RateEstimatorContext {
+  double update_interval = 1.0;  // T: sets the default W and BUCKET
+  // The estimate before any arrival (> 0): the conservative max throughput
+  // n in the sim; near zero live, so LI reads the board as fresh (K = 0).
+  double initial_rate = 1e-9;
+  double capacity = 0.0;        // max throughput; 0 = unknown
+  bool has_told_rate = false;   // a configured lambda exists
+};
+
+// The one rate-estimator grammar, shared by `staleload_sim --estimator`
+// and `staleload_lb --estimator`:
+//   told | fixed           null: believe the configured lambda
+//   fixed:RATE             a constant RATE, blind to load shifts
+//   conservative           a constant at the capacity (the paper's rule)
+//   ewma:TAU               moving average with time constant TAU
+//   windowed[:W]           count in a sliding window W, W = 4 * max(T, 0.25)
+//   cema[:ALPHA[:BUCKET]]  bucketed CEMA, ALPHA = 0.1, BUCKET = max(T, 0.05)/2
+// Every number must parse in full, be finite and in range. A bad field, or
+// a form the context cannot serve (told/fixed without a told rate,
+// conservative without a capacity), throws std::invalid_argument
+// "rate_estimator 'SPEC': ..." naming the field or the missing piece.
+core::RateEstimatorPtr make_rate_estimator(const std::string& spec,
+                                           const RateEstimatorContext& context);
+
 }  // namespace stale::workload

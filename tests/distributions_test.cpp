@@ -185,6 +185,13 @@ TEST(ParseDistributionTest, DescribeRoundTrips) {
     const auto again = parse_distribution(dist->describe());
     EXPECT_DOUBLE_EQ(again->mean(), dist->mean()) << spec;
   }
+  // Ten significant digits survive describe() exactly.
+  for (const char* spec : {"exp:1.234567891", "uniform:0.1234567891:3"}) {
+    const auto dist = parse_distribution(spec);
+    EXPECT_EQ(dist->describe(), spec);
+    EXPECT_EQ(parse_distribution(dist->describe())->mean(), dist->mean())
+        << spec;
+  }
 }
 
 TEST(ParseDistributionTest, RejectsMalformedSpecs) {

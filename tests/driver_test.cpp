@@ -260,8 +260,8 @@ TEST(CliTest, DefaultScale) {
 
 TEST(CliTest, ExtraFlagsAndSwitches) {
   const char* argv[] = {"bench", "--t-max", "32", "--box"};
-  Cli cli(4, argv, {"t-max"}, {"box"});
-  EXPECT_DOUBLE_EQ(cli.get_double("t-max", 0.0), 32.0);
+  Cli cli(4, argv, {{"t-max", "T", "largest T"}, {"box", "", "box stats"}});
+  EXPECT_DOUBLE_EQ(cli.number("t-max", 0.0), 32.0);
   EXPECT_TRUE(cli.has("box"));
 }
 
@@ -464,53 +464,76 @@ TEST(CliTest, DispatchersCombineWithFaultsAndEveryBoardModel) {
   }
 }
 
-// The one sim rate-estimator grammar: every number parses in full and is
-// finite, and an error names the field that broke.
+// The one rate-estimator grammar, through what the simulator knows (T, a
+// told lambda, capacity n) and what the live dispatcher knows (only T):
+// every number parses in full and is finite, and an error names the field
+// that broke or the piece the caller lacks.
 TEST(RateEstimatorSpecTest, ParsesOrNamesTheBadField) {
+  const workload::RateEstimatorContext sim_context =
+      rate_estimator_context(ExperimentConfig{});
+  workload::RateEstimatorContext live_context;
+  live_context.update_interval = 2.0;
+  live_context.initial_rate = 1e-9;
+  const auto context = [&](bool live) -> const auto& {
+    return live ? live_context : sim_context;
+  };
+
   const struct {
     const char* spec;
+    bool live;
     const char* describe;  // nullptr: no estimator (the told rate)
-  } valid[] = {{"told", nullptr},
-               {"fixed", nullptr},
-               {"conservative", "conservative"},
-               {"cema", "cema"},
-               {"cema:0.2", "cema"},
-               {"cema:0.2:0.5", "cema"},
-               {"ewma:50", "ewma"},
-               {"windowed:100", "windowed"}};
+  } valid[] = {{"told", false, nullptr},
+               {"fixed", false, nullptr},
+               {"conservative", false, "conservative"},
+               {"cema", false, "cema"},
+               {"cema:0.2", false, "cema"},
+               {"cema:0.2:0.5", false, "cema"},
+               {"ewma:50", false, "ewma"},
+               {"windowed:100", false, "windowed"},
+               {"fixed:2", false, "conservative(2)"},
+               {"windowed", false, "windowed(w=4)"},
+               {"fixed:2", true, "conservative(2)"},
+               {"windowed", true, "windowed(w=8)"},
+               {"cema", true, "cema(alpha 0.1, bucket 1, initial 1e-09)"},
+               {"ewma:50", true, "ewma"}};
   for (const auto& row : valid) {
-    ExperimentConfig config;
-    config.rate_estimator = row.spec;
-    const core::RateEstimatorPtr estimator = make_rate_estimator(config);
+    const core::RateEstimatorPtr estimator =
+        workload::make_rate_estimator(row.spec, context(row.live));
     if (row.describe == nullptr) {
       EXPECT_EQ(estimator, nullptr) << row.spec;
     } else {
       ASSERT_NE(estimator, nullptr) << row.spec;
       EXPECT_NE(estimator->describe().find(row.describe), std::string::npos)
-          << row.spec;
+          << row.spec << " -> " << estimator->describe();
     }
   }
 
   const struct {
     const char* spec;
+    bool live;
     const char* message;  // must appear in the error
-  } invalid[] = {{"cema:0.1x", "bad ALPHA '0.1x'"},
-                 {"cema:abc", "bad ALPHA 'abc'"},
-                 {"cema:", "bad ALPHA ''"},
-                 {"cema:0.2:1e400", "bad BUCKET '1e400'"},
-                 {"cema:0.2:0.5:1", "expected cema[:ALPHA[:BUCKET]]"},
-                 {"windowed:nan", "bad W 'nan'"},
-                 {"windowed:", "bad W ''"},
-                 {"ewma:inf", "bad TAU 'inf'"},
-                 {"ewma:5:6", "expected ewma:TAU"},
-                 {"ewma", "expected ewma:TAU"},
-                 {"conservative:2", "expected conservative"},
-                 {"bogus:1", "unknown rate_estimator 'bogus:1'"}};
+  } invalid[] = {{"cema:0.1x", false, "bad ALPHA '0.1x'"},
+                 {"cema:abc", false, "bad ALPHA 'abc'"},
+                 {"cema:", false, "bad ALPHA ''"},
+                 {"cema:0.2:1e400", false, "bad BUCKET '1e400'"},
+                 {"cema:0.2:0.5:1", false, "expected cema[:ALPHA[:BUCKET]]"},
+                 {"windowed:nan", false, "bad W 'nan'"},
+                 {"windowed:", false, "bad W ''"},
+                 {"ewma:inf", false, "bad TAU 'inf'"},
+                 {"ewma:5:6", false, "expected ewma:TAU"},
+                 {"ewma", false, "expected ewma:TAU"},
+                 {"conservative:2", false, "expected conservative"},
+                 {"bogus:1", false, "unknown rate_estimator 'bogus:1'"},
+                 {"fixed", true, "no configured arrival rate"},
+                 {"told", true, "no configured arrival rate"},
+                 {"conservative", true, "service capacity is not known"},
+                 {"windowed:nan", true, "bad W 'nan'"},
+                 {"fixed:inf", true, "bad RATE 'inf'"},
+                 {"fixed:0", true, "RATE must be > 0"},
+                 {"cema:1.5", true, "ALPHA must be in (0, 1)"}};
   for (const auto& row : invalid) {
-    ExperimentConfig config;
-    config.rate_estimator = row.spec;
     try {
-      (void)make_rate_estimator(config);
+      (void)workload::make_rate_estimator(row.spec, context(row.live));
       ADD_FAILURE() << row.spec << " was accepted";
     } catch (const std::invalid_argument& error) {
       EXPECT_NE(std::string(error.what()).find(row.message), std::string::npos)

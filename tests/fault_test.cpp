@@ -115,6 +115,16 @@ TEST(FaultSpecTest, RoundTripsThroughToString) {
   EXPECT_DOUBLE_EQ(reparsed.update_loss, spec.update_loss);
   EXPECT_DOUBLE_EQ(reparsed.cutoff_value, spec.cutoff_value);
   EXPECT_EQ(reparsed.cutoff_in_intervals, spec.cutoff_in_intervals);
+
+  // Ten significant digits survive to_string exactly, as --json reports it.
+  const FaultSpec precise =
+      FaultSpec::parse("crash=0.0123456789,down=5,cutoff=1.234567891T");
+  EXPECT_EQ(precise.to_string(),
+            "crash=0.0123456789,down=5,semantics=lost,cutoff=1.234567891T,"
+            "fallback=random");
+  const FaultSpec precise_again = FaultSpec::parse(precise.to_string());
+  EXPECT_EQ(precise_again.crash_rate, precise.crash_rate);
+  EXPECT_EQ(precise_again.cutoff_value, precise.cutoff_value);
 }
 
 TEST(FaultSpecTest, RoundTripsEveryFieldFamilyThroughToString) {
@@ -133,6 +143,20 @@ TEST(FaultSpecTest, RoundTripsEveryFieldFamilyThroughToString) {
   EXPECT_EQ(reparsed.fallback_policy, spec.fallback_policy);
   EXPECT_EQ(reparsed.max_retries, spec.max_retries);
   EXPECT_DOUBLE_EQ(reparsed.retry_backoff, spec.retry_backoff);
+
+  // A 10-significant-digit value in every numeric family reparses exactly.
+  const FaultSpec precise = FaultSpec::parse(
+      "crash=0.01234567891,down=3.141592654,loss=0.1234567891,"
+      "delay=0.2718281828,estdrop=0.05432109876,cutoff=4.123456789,"
+      "retries=5,backoff=0.1414213562");
+  const FaultSpec precise_again = FaultSpec::parse(precise.to_string());
+  EXPECT_EQ(precise_again.crash_rate, precise.crash_rate);
+  EXPECT_EQ(precise_again.mean_downtime, precise.mean_downtime);
+  EXPECT_EQ(precise_again.update_loss, precise.update_loss);
+  EXPECT_EQ(precise_again.update_extra_delay, precise.update_extra_delay);
+  EXPECT_EQ(precise_again.estimator_dropout, precise.estimator_dropout);
+  EXPECT_EQ(precise_again.cutoff_value, precise.cutoff_value);
+  EXPECT_EQ(precise_again.retry_backoff, precise.retry_backoff);
 }
 
 // --- crash semantics at the queueing layer --------------------------------

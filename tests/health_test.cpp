@@ -161,6 +161,25 @@ TEST(ChurnSpecTest, RoundTripsEveryFieldFamilyThroughToString) {
   EXPECT_EQ(reparsed.fallback_policy, spec.fallback_policy);
   EXPECT_EQ(reparsed.max_retries, spec.max_retries);
   EXPECT_DOUBLE_EQ(reparsed.retry_backoff, spec.retry_backoff);
+
+  // A 10-significant-digit value in every numeric family reparses exactly.
+  const ChurnSpec precise = ChurnSpec::parse(
+      "restart=5.123456789,restartdown=0.5123456789,leave=0.01234567891,"
+      "rejoin=2.123456789,slow=2,slowfactor=0.2512345678,"
+      "suspect=2.512345678T,evict=5.123456789T,probe=0.2512345678,"
+      "probemax=4.123456789,coverage=0.5123456789,backoff=0.2123456789");
+  const ChurnSpec precise_again = ChurnSpec::parse(precise.to_string());
+  EXPECT_EQ(precise_again.restart_every, precise.restart_every);
+  EXPECT_EQ(precise_again.restart_down, precise.restart_down);
+  EXPECT_EQ(precise_again.leave_rate, precise.leave_rate);
+  EXPECT_EQ(precise_again.rejoin_delay, precise.rejoin_delay);
+  EXPECT_EQ(precise_again.slow_factor, precise.slow_factor);
+  EXPECT_EQ(precise_again.suspect_value, precise.suspect_value);
+  EXPECT_EQ(precise_again.evict_value, precise.evict_value);
+  EXPECT_EQ(precise_again.probe_backoff, precise.probe_backoff);
+  EXPECT_EQ(precise_again.probe_backoff_max, precise.probe_backoff_max);
+  EXPECT_EQ(precise_again.coverage_threshold, precise.coverage_threshold);
+  EXPECT_EQ(precise_again.retry_backoff, precise.retry_backoff);
 }
 
 // --- HealthConfig ---------------------------------------------------------

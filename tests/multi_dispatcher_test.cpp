@@ -47,7 +47,9 @@ TEST(JiqSpecTest, ParsesInsertionVariants) {
 }
 
 TEST(JiqSpecTest, RoundTripsThroughToString) {
-  for (const char* spec : {"jiq", "jiq:sq:2", "jiq:sq:7"}) {
+  // The last row is a 10-digit sample count (JIQ specs hold no reals).
+  for (const char* spec :
+       {"jiq", "jiq:sq:2", "jiq:sq:7", "jiq:sq:1234567891"}) {
     EXPECT_EQ(stale::dispatch::parse_jiq_spec(spec).to_string(), spec);
   }
 }

@@ -11,58 +11,60 @@
 // per-name median first, so one noisy repetition can't trip the gate.
 // --report-only prints the same table but always exits clean, for eyeballing
 // a local run against the committed trajectory on different hardware.
-#include <cstdio>
-#include <cstdlib>
+// --help prints every flag.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "bench_diff_lib.h"
+#include "sim/spec.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+const stale::sim::FlagTable kFlags = {
+    "bench_diff",
+    "Diffs a google-benchmark JSON run against a baseline; exit 1 on a "
+    "missing benchmark or a regression.",
+    {
+        {"max-regress", "PCT", "fail above this median slowdown (default 10)"},
+        {"report-only", "", "print the table but always exit 0"},
+    },
+    {
+        {"BASELINE.json", "", "committed baseline run"},
+        {"CURRENT.json", "", "run to check"},
+    },
+};
+
+int run(const stale::sim::FlagParser& flags) {
   stale::benchdiff::DiffOptions options;
-  std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-regress") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_diff: --max-regress needs a percent\n");
-        return 2;
-      }
-      options.max_regress_pct = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--report-only") {
-      options.report_only = true;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_diff BASELINE.json CURRENT.json "
-                 "[--max-regress PCT] [--report-only]\n");
-    return 2;
-  }
+  options.max_regress_pct =
+      flags.number("max-regress", options.max_regress_pct);
+  options.report_only = flags.has("report-only");
+  const std::string& baseline_path = flags.positionals()[0];
+  const std::string& current_path = flags.positionals()[1];
 
-  std::ifstream baseline_in(files[0]);
+  std::ifstream baseline_in(baseline_path);
   if (!baseline_in) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", files[0].c_str());
-    return 2;
+    throw std::runtime_error("cannot read " + baseline_path);
   }
-  std::ifstream current_in(files[1]);
+  std::ifstream current_in(current_path);
   if (!current_in) {
-    std::fprintf(stderr, "bench_diff: cannot read %s\n", files[1].c_str());
-    return 2;
+    throw std::runtime_error("cannot read " + current_path);
   }
   const auto baseline = stale::benchdiff::load_benchmarks(baseline_in);
   const auto current = stale::benchdiff::load_benchmarks(current_in);
   if (baseline.empty()) {
-    std::fprintf(stderr, "bench_diff: no benchmarks in baseline %s\n",
-                 files[0].c_str());
-    return 2;
+    throw std::runtime_error("no benchmarks in baseline " + baseline_path);
   }
 
   const stale::benchdiff::DiffResult result =
       stale::benchdiff::diff_benchmarks(baseline, current, options, std::cout);
   return result.failed(options) ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return stale::sim::run_tool(argc, argv, kFlags, run, /*error_exit=*/2);
 }

@@ -10,26 +10,38 @@
 // default tolerances are the documented CI budget (see
 // obs::DiffTolerance): live and sim share the workload but not service
 // draws or network jitter, so this is a consistency gate, not bit-equality.
+// --help prints every flag.
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/replay_metrics.h"
+#include "sim/spec.h"
 
 namespace {
 
-void usage(std::ostream& out) {
-  out << "usage: playdiff A.json B.json [--tol-response R] [--tol-share S]\n"
-         "                [--require-herd-match] [--report OUT]\n";
-}
+const stale::sim::FlagTable kFlags = {
+    "playdiff",
+    "Compares two replay-metrics files; exit 0 within tolerance, 1 beyond "
+    "it, 2 on bad input.",
+    {
+        {"tol-response", "R", "relative tolerance on response quantiles"},
+        {"tol-share", "S", "total-variation tolerance on dispatch shares"},
+        {"require-herd-match", "", "fail when the herd verdicts disagree"},
+        {"report", "OUT", "also write the comparison to OUT"},
+    },
+    {
+        {"A.json", "", "first metrics file (e.g. a live metrics.json)"},
+        {"B.json", "", "second metrics file (e.g. the sim replay's)"},
+    },
+};
 
 stale::obs::ReplayMetrics load_metrics(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    throw std::runtime_error("playdiff: cannot open '" + path + "'");
+    throw std::runtime_error("cannot open '" + path + "'");
   }
   return stale::obs::parse_replay_metrics(in);
 }
@@ -69,63 +81,34 @@ void write_report(std::ostream& out, const stale::obs::ReplayMetrics& a,
   }
 }
 
+int run(const stale::sim::FlagParser& flags) {
+  stale::obs::DiffTolerance tolerance;
+  tolerance.response = flags.number("tol-response", tolerance.response);
+  tolerance.share_tv = flags.number("tol-share", tolerance.share_tv);
+  tolerance.require_herd_match = flags.has("require-herd-match");
+  if (tolerance.response <= 0.0 || tolerance.share_tv <= 0.0) {
+    throw std::invalid_argument("tolerances must be > 0");
+  }
+  const std::string report_path = flags.get("report", "");
+
+  const stale::obs::ReplayMetrics a = load_metrics(flags.positionals()[0]);
+  const stale::obs::ReplayMetrics b = load_metrics(flags.positionals()[1]);
+  const std::vector<std::string> failures =
+      stale::obs::diff_replay_metrics(a, b, tolerance);
+
+  write_report(std::cout, a, b, failures);
+  if (!report_path.empty()) {
+    std::ofstream report(report_path);
+    if (!report) {
+      throw std::runtime_error("cannot write '" + report_path + "'");
+    }
+    write_report(report, a, b, failures);
+  }
+  return failures.empty() ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> paths;
-  stale::obs::DiffTolerance tolerance;
-  std::string report_path;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> std::string {
-        if (i + 1 >= argc) {
-          throw std::runtime_error("playdiff: " + arg + " needs a value");
-        }
-        return argv[++i];
-      };
-      if (arg == "--tol-response") {
-        tolerance.response = std::stod(value());
-      } else if (arg == "--tol-share") {
-        tolerance.share_tv = std::stod(value());
-      } else if (arg == "--require-herd-match") {
-        tolerance.require_herd_match = true;
-      } else if (arg == "--report") {
-        report_path = value();
-      } else if (arg == "--help" || arg == "-h") {
-        usage(std::cout);
-        return 0;
-      } else if (!arg.empty() && arg[0] == '-') {
-        throw std::runtime_error("playdiff: unknown flag '" + arg + "'");
-      } else {
-        paths.push_back(arg);
-      }
-    }
-    if (paths.size() != 2) {
-      usage(std::cerr);
-      return 2;
-    }
-    if (tolerance.response <= 0.0 || tolerance.share_tv <= 0.0) {
-      throw std::runtime_error("playdiff: tolerances must be > 0");
-    }
-
-    const stale::obs::ReplayMetrics a = load_metrics(paths[0]);
-    const stale::obs::ReplayMetrics b = load_metrics(paths[1]);
-    const std::vector<std::string> failures =
-        stale::obs::diff_replay_metrics(a, b, tolerance);
-
-    write_report(std::cout, a, b, failures);
-    if (!report_path.empty()) {
-      std::ofstream report(report_path);
-      if (!report) {
-        throw std::runtime_error("playdiff: cannot write '" + report_path +
-                                 "'");
-      }
-      write_report(report, a, b, failures);
-    }
-    return failures.empty() ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << "\n";
-    return 2;
-  }
+  return stale::sim::run_tool(argc, argv, kFlags, run, /*error_exit=*/2);
 }

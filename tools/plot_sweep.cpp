@@ -4,81 +4,63 @@
 //       build/tools/plot_sweep --out fig02.svg --title "Figure 2"
 //           --log-x --log-y --x-label ... --y-label ...
 //
-// Reads stdin, writes the SVG to --out (default sweep.svg).
+// Reads stdin, writes the SVG to --out (default sweep.svg). --help prints
+// every flag.
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "obs/svg_plot.h"
+#include "sim/spec.h"
 
 namespace {
 
-struct Args {
-  std::string out = "sweep.svg";
-  stale::obs::PlotOptions options;
+const stale::sim::FlagTable kFlags = {
+    "plot_sweep",
+    "Renders a sweep bench's --csv output (read from stdin) as an SVG line "
+    "chart.",
+    {
+        {"out", "FILE", "SVG to write (default sweep.svg)"},
+        {"title", "TEXT", "chart title"},
+        {"x-label", "TEXT", "x-axis label"},
+        {"y-label", "TEXT", "y-axis label"},
+        {"log-x", "", "logarithmic x axis"},
+        {"log-y", "", "logarithmic y axis"},
+        {"width", "PX", "chart width in pixels"},
+        {"height", "PX", "chart height in pixels"},
+    },
+    /*positionals=*/{},
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  args.options.x_label = "T (mean service times)";
-  args.options.y_label = "mean response time";
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("plot_sweep: " + flag + " needs a value");
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      args.out = value();
-    } else if (flag == "--title") {
-      args.options.title = value();
-    } else if (flag == "--x-label") {
-      args.options.x_label = value();
-    } else if (flag == "--y-label") {
-      args.options.y_label = value();
-    } else if (flag == "--log-x") {
-      args.options.log_x = true;
-    } else if (flag == "--log-y") {
-      args.options.log_y = true;
-    } else if (flag == "--width") {
-      args.options.width = std::stoi(value());
-    } else if (flag == "--height") {
-      args.options.height = std::stoi(value());
-    } else {
-      throw std::invalid_argument("plot_sweep: unknown flag " + flag);
-    }
+int run(const stale::sim::FlagParser& flags) {
+  const std::string out_path = flags.get("out", "sweep.svg");
+  stale::obs::PlotOptions options;
+  options.title = flags.get("title", options.title);
+  options.x_label = flags.get("x-label", "T (mean service times)");
+  options.y_label = flags.get("y-label", "mean response time");
+  options.log_x = flags.has("log-x");
+  options.log_y = flags.has("log-y");
+  options.width = flags.integer<int>("width", options.width);
+  options.height = flags.integer<int>("height", options.height);
+
+  std::ostringstream buffer;
+  buffer << std::cin.rdbuf();
+  const auto series = stale::obs::parse_sweep_csv(buffer.str());
+  if (series.empty()) {
+    throw std::runtime_error(
+        "no parsable series on stdin (pipe a bench's --csv output)");
   }
-  return args;
+  const std::string svg = stale::obs::render_line_chart(series, options);
+  std::ofstream out(out_path);
+  if (!out) throw std::runtime_error("cannot write '" + out_path + "'");
+  out << svg;
+  std::cerr << "plot_sweep: wrote " << out_path << " (" << series.size()
+            << " series)\n";
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Args args = parse_args(argc, argv);
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    const auto series = stale::obs::parse_sweep_csv(buffer.str());
-    if (series.empty()) {
-      std::cerr << "plot_sweep: no parsable series on stdin (pipe a bench's "
-                   "--csv output)\n";
-      return 1;
-    }
-    const std::string svg =
-        stale::obs::render_line_chart(series, args.options);
-    std::ofstream out(args.out);
-    if (!out) {
-      std::cerr << "plot_sweep: cannot write '" << args.out << "'\n";
-      return 1;
-    }
-    out << svg;
-    std::cerr << "plot_sweep: wrote " << args.out << " (" << series.size()
-              << " series)\n";
-    return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "plot_sweep: " << error.what() << "\n";
-    return 1;
-  }
+  return stale::sim::run_tool(argc, argv, kFlags, run);
 }

@@ -12,16 +12,18 @@
 // route back over the connection each job arrived on). --update-period 0
 // (the default) sends no standing LOAD reports — the dispatcher's piggyback
 // schedule learns queue lengths from DONE replies instead. Runs until
-// SIGINT/SIGTERM or --duration seconds.
+// SIGINT/SIGTERM or --duration seconds. --help prints every flag.
 #include <atomic>
 #include <cmath>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 
 #include "net/backend.h"
+#include "net/socket.h"
+#include "sim/spec.h"
 
 namespace {
 
@@ -37,69 +39,46 @@ void install_signal_handlers() {
   sigaction(SIGALRM, &action, nullptr);
 }
 
-[[noreturn]] void usage(const std::string& error) {
-  std::cerr << "staleload_backend: " << error << "\n"
-            << "usage: staleload_backend --index I "
-               "--report-to HOST:PORT[,HOST:PORT...]\n"
-            << "  [--host H] [--port P] [--update-period T]\n"
-            << "  [--mean-service S] [--hello-period S] [--seed S]\n"
-            << "  [--duration S]\n";
-  std::exit(2);
-}
-
-// "HOST:PORT[,HOST:PORT...]" -> endpoints, one per dispatcher shard.
-std::vector<stale::net::Endpoint> parse_endpoint_list(const std::string& text) {
-  std::vector<stale::net::Endpoint> endpoints;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string one = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    endpoints.push_back(stale::net::parse_endpoint(one));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return endpoints;
-}
+const stale::sim::FlagTable kFlags = {
+    "staleload_backend",
+    "One toy FIFO server: registers with the dispatcher(s) at --report-to "
+    "and serves the jobs they send.",
+    {
+        {"index", "I", "backend index the dispatcher knows this server by"},
+        {"report-to", "HOST:PORT[,...]",
+         "dispatcher UDP control endpoints (required)"},
+        {"host", "H", "address to bind (default 127.0.0.1)"},
+        {"port", "P", "data-plane TCP port (default 0 = ephemeral)"},
+        {"update-period", "T", "LOAD report period (0 = none, piggyback)"},
+        {"mean-service", "S", "mean exponential service time in seconds"},
+        {"hello-period", "S", "HELLO retry period until connected"},
+        {"seed", "S", "RNG seed"},
+        {"duration", "S", "seconds to run (default: until SIGINT)"},
+    },
+    /*positionals=*/{},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
+  using stale::sim::FlagParser;
+  return stale::sim::run_tool(argc, argv, kFlags, [](const FlagParser& flags) {
     stale::net::BackendOptions options;
     options.status_out = &std::cout;
-    double duration = 0.0;
-    bool have_report_to = false;
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto value = [&]() -> std::string {
-        if (i + 1 >= argc) usage(flag + " needs a value");
-        return argv[++i];
-      };
-      if (flag == "--host") {
-        options.host = value();
-      } else if (flag == "--port") {
-        options.tcp_port = static_cast<std::uint16_t>(std::stoi(value()));
-      } else if (flag == "--index") {
-        options.index = std::stoi(value());
-      } else if (flag == "--report-to") {
-        options.report_to = parse_endpoint_list(value());
-        have_report_to = true;
-      } else if (flag == "--update-period") {
-        options.update_period = std::stod(value());
-      } else if (flag == "--mean-service") {
-        options.mean_service = std::stod(value());
-      } else if (flag == "--hello-period") {
-        options.hello_period = std::stod(value());
-      } else if (flag == "--seed") {
-        options.seed = std::stoull(value());
-      } else if (flag == "--duration") {
-        duration = std::stod(value());
-      } else {
-        usage("unknown flag '" + flag + "'");
-      }
+    options.host = flags.get("host", options.host);
+    options.tcp_port = flags.integer<std::uint16_t>("port", options.tcp_port);
+    options.index = flags.integer<int>("index", options.index);
+    if (!flags.has("report-to")) {
+      throw std::invalid_argument("--report-to is required");
     }
-    if (!have_report_to) usage("--report-to is required");
+    options.report_to =
+        stale::net::parse_endpoint_list(flags.get("report-to", ""));
+    options.update_period =
+        flags.number("update-period", options.update_period);
+    options.mean_service = flags.number("mean-service", options.mean_service);
+    options.hello_period = flags.number("hello-period", options.hello_period);
+    options.seed = flags.integer<std::uint64_t>("seed", options.seed);
+    const double duration = flags.number("duration", 0.0);
 
     install_signal_handlers();
     // The event loop only honors the stop flag, so a bounded run is just a
@@ -114,8 +93,5 @@ int main(int argc, char** argv) {
               << " served=" << backend.stats().jobs_served
               << " max_queue=" << backend.stats().max_queue_len << std::endl;
     return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "staleload_backend: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -21,15 +21,13 @@
 // replays deterministically and `tools/playdiff` gates against. Requires
 // --schedule periodic and a fault-free run (see src/net/record.h).
 //
-// --estimator SPEC picks how the dispatcher learns the arrival rate that
-// LI policies turn into K = lambda*T:
-//   windowed[:W] | ewma:TAU | cema[:ALPHA[:BUCKET]] | fixed:RATE
+// --estimator speaks the grammar staleload_sim shares
+// (workload::make_rate_estimator); --help prints every flag.
 #include <sys/stat.h>
 
 #include <atomic>
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -45,6 +43,7 @@
 #include "obs/herd.h"
 #include "obs/replay_metrics.h"
 #include "obs/trace_recorder.h"
+#include "sim/spec.h"
 #include "workload/replay.h"
 
 namespace {
@@ -66,91 +65,82 @@ struct Args {
   std::string record_dir;
 };
 
-[[noreturn]] void usage(const std::string& error) {
-  std::cerr << "staleload_lb: " << error << "\n"
-            << "usage: staleload_lb --backends N [--policy SPEC]\n"
-            << "  [--schedule periodic|piggyback] [--update-period T]\n"
-            << "  [--host H] [--tcp-port P] [--udp-port P] [--rate-window W]\n"
-            << "  [--estimator windowed[:W]|ewma:TAU|cema[:A[:B]]|fixed:R]\n"
-            << "  [--duration S] [--seed S] [--faults SPEC]\n"
-            << "  [--health SPEC] [--dispatch-timeout S]\n"
-            << "  [--trace-out PREFIX] [--record DIR]\n"
-            << "--health takes the health keys of a churn spec, e.g.\n"
-            << "  suspect=2T,evict=4T,probation=2,probe=0.5,probemax=8,\n"
-            << "  coverage=0.5,fallback=random,retries=3\n"
-            << "(T = --update-period; churn-process keys like restart= are\n"
-            << "rejected — live backends churn for real).\n";
-  std::exit(2);
-}
+const stale::sim::FlagTable kFlags = {
+    "staleload_lb",
+    "The live load-balancer daemon: waits for --backends registrations, "
+    "then dispatches client jobs.",
+    {
+        {"backends", "N", "backend registrations to wait for (>= 1)"},
+        {"policy", "SPEC", "dispatch policy (default basic_li)"},
+        {"schedule", "SCHED", "load reports: periodic|piggyback"},
+        {"update-period", "T", "report period T that LI interprets against"},
+        {"host", "H", "address to bind (default 127.0.0.1)"},
+        {"tcp-port", "P", "client port (default 0 = ephemeral)"},
+        {"udp-port", "P", "backend control port (default 0 = ephemeral)"},
+        {"estimator", "SPEC",
+         "windowed[:W]|ewma:TAU|cema[:A[:B]]|fixed:RATE (default windowed)"},
+        {"duration", "S", "seconds to serve (default: until SIGINT)"},
+        {"seed", "S", "RNG seed"},
+        {"faults", "SPEC", "report-path faults, e.g. loss=0.2,delay=0.05"},
+        {"health", "SPEC",
+         "health keys of a churn spec, e.g. suspect=2T,evict=4T,retries=3"},
+        {"dispatch-timeout", "S", "re-dispatch a job unanswered this long"},
+        {"trace-out", "PREFIX", "write PREFIX.events.csv + PREFIX.herd.json"},
+        {"record", "DIR", "write a trace-v2 recording to DIR"},
+    },
+    /*positionals=*/{},
+};
 
-Args parse_args(int argc, char** argv) {
+Args parse_args(const stale::sim::FlagParser& flags) {
   Args args;
-  args.options.status_out = &std::cout;
-  std::string health_spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(flag + " needs a value");
-      return argv[++i];
-    };
-    if (flag == "--host") {
-      args.options.host = value();
-    } else if (flag == "--tcp-port") {
-      args.options.tcp_port = static_cast<std::uint16_t>(std::stoi(value()));
-    } else if (flag == "--udp-port") {
-      args.options.udp_port = static_cast<std::uint16_t>(std::stoi(value()));
-    } else if (flag == "--backends") {
-      args.options.num_backends = std::stoi(value());
-    } else if (flag == "--policy") {
-      args.options.policy_spec = value();
-    } else if (flag == "--schedule") {
-      args.options.schedule = stale::net::parse_update_schedule(value());
-    } else if (flag == "--update-period") {
-      args.options.update_period = std::stod(value());
-    } else if (flag == "--rate-window") {
-      args.options.rate_window = std::stod(value());
-    } else if (flag == "--duration") {
-      args.options.duration = std::stod(value());
-    } else if (flag == "--seed") {
-      args.options.seed = std::stoull(value());
-    } else if (flag == "--faults") {
-      args.options.faults = stale::fault::FaultSpec::parse(value());
-    } else if (flag == "--health") {
-      health_spec = value();
-    } else if (flag == "--dispatch-timeout") {
-      args.options.dispatch_timeout = std::stod(value());
-    } else if (flag == "--trace-out") {
-      args.trace_out = value();
-    } else if (flag == "--record") {
-      args.record_dir = value();
-    } else if (flag == "--estimator") {
-      args.options.estimator_spec = value();
-    } else {
-      usage("unknown flag '" + flag + "'");
-    }
+  stale::net::DispatcherOptions& options = args.options;
+  options.status_out = &std::cout;
+  options.host = flags.get("host", options.host);
+  options.tcp_port = flags.integer<std::uint16_t>("tcp-port", options.tcp_port);
+  options.udp_port = flags.integer<std::uint16_t>("udp-port", options.udp_port);
+  options.num_backends = flags.integer<int>("backends", 0);
+  options.policy_spec = flags.get("policy", options.policy_spec);
+  if (flags.has("schedule")) {
+    options.schedule =
+        stale::net::parse_update_schedule(flags.get("schedule", ""));
   }
-  if (args.options.num_backends <= 0) usage("--backends must be >= 1");
+  options.update_period = flags.number("update-period", options.update_period);
+  options.estimator_spec = flags.get("estimator", options.estimator_spec);
+  options.duration = flags.number("duration", options.duration);
+  options.seed = flags.integer<std::uint64_t>("seed", options.seed);
+  options.faults = stale::fault::FaultSpec::parse(flags.get("faults", ""));
+  options.dispatch_timeout = flags.number("dispatch-timeout", 0.0);
+  args.trace_out = flags.get("trace-out", "");
+  args.record_dir = flags.get("record", "");
+  if (options.num_backends <= 0) {
+    throw std::invalid_argument("--backends must be >= 1");
+  }
   if (!args.record_dir.empty()) {
-    if (args.options.schedule != stale::net::UpdateSchedule::kPeriodic) {
-      usage("--record requires --schedule periodic (the replay driver maps "
-            "the recorded LOAD cadence onto the individual-timer model)");
+    if (options.schedule != stale::net::UpdateSchedule::kPeriodic) {
+      throw std::invalid_argument(
+          "--record requires --schedule periodic (the replay driver maps "
+          "the recorded LOAD cadence onto the individual-timer model)");
     }
-    if (args.options.faults.any()) {
-      usage("--record with --faults would bake lost jobs into the trace; "
-            "record a fault-free run");
+    if (options.faults.any()) {
+      throw std::invalid_argument(
+          "--record with --faults would bake lost jobs into the trace; "
+          "record a fault-free run");
     }
   }
+  const std::string health_spec = flags.get("health", "");
   if (!health_spec.empty()) {
     const auto spec = stale::health::ChurnSpec::parse(health_spec);
     if (spec.any()) {
-      usage("--health takes only health keys; churn-process keys "
-            "(restart/leave/slow) belong to the simulator's --churn-spec");
+      throw std::invalid_argument(
+          "--health takes only health keys; churn-process keys "
+          "(restart/leave/slow) belong to the simulator's --churn-spec");
     }
-    args.options.health = spec.resolved_health(args.options.update_period);
-    args.options.max_redispatch = spec.max_retries;
-  } else if (args.options.dispatch_timeout > 0.0) {
-    usage("--dispatch-timeout needs --health (the timeouts feed the health "
-          "state machine)");
+    options.health = spec.resolved_health(options.update_period);
+    options.max_redispatch = spec.max_retries;
+  } else if (options.dispatch_timeout > 0.0) {
+    throw std::invalid_argument(
+        "--dispatch-timeout needs --health (the timeouts feed the health "
+        "state machine)");
   }
   return args;
 }
@@ -220,8 +210,9 @@ void ensure_dir(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    Args args = parse_args(argc, argv);
+  using stale::sim::FlagParser;
+  return stale::sim::run_tool(argc, argv, kFlags, [](const FlagParser& flags) {
+    Args args = parse_args(flags);
     install_signal_handlers();
 
     // --record needs the obs recorder too: its decision events feed the
@@ -296,8 +287,5 @@ int main(int argc, char** argv) {
                 << " completed jobs in " << args.record_dir << "\n";
     }
     return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "staleload_lb: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -11,15 +11,17 @@
 // The response-time report (mean/p50/p90/p99 plus per-backend and per-target
 // counts) is written as one staleload_sim-shaped JSON object to --json
 // (default stdout). Exits nonzero when nothing completed — a dead
-// dispatcher should fail a CI smoke step loudly.
+// dispatcher should fail a CI smoke step loudly. --help prints every flag.
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "net/loadgen.h"
+#include "net/socket.h"
+#include "sim/spec.h"
 
 namespace {
 
@@ -34,70 +36,49 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-[[noreturn]] void usage(const std::string& error) {
-  std::cerr << "staleload_loadgen: " << error << "\n"
-            << "usage: staleload_loadgen --target HOST:PORT[,HOST:PORT...]\n"
-            << "  [--lambda R] [--duration S] [--drain S] [--warmup N]\n"
-            << "  [--max-jobs N] [--seed S] [--connect-retries N]\n"
-            << "  [--connect-backoff S] [--json PATH]\n";
-  std::exit(2);
-}
-
-// "HOST:PORT[,HOST:PORT...]" -> endpoints, one per dispatcher shard.
-std::vector<stale::net::Endpoint> parse_endpoint_list(const std::string& text) {
-  std::vector<stale::net::Endpoint> endpoints;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string one = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    endpoints.push_back(stale::net::parse_endpoint(one));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return endpoints;
-}
+const stale::sim::FlagTable kFlags = {
+    "staleload_loadgen",
+    "Open-loop Poisson client for the live dispatcher; prints a JSON "
+    "response-time report.",
+    {
+        {"target", "HOST:PORT[,...]", "dispatcher client endpoints (required)"},
+        {"lambda", "R", "offered jobs per second"},
+        {"duration", "S", "seconds to send"},
+        {"drain", "S", "seconds to wait for replies after sending"},
+        {"warmup", "N", "jobs excluded from the statistics"},
+        {"max-jobs", "N", "stop sending after N jobs (0 = no cap)"},
+        {"seed", "S", "RNG seed"},
+        {"connect-retries", "N", "connection attempts per target"},
+        {"connect-backoff", "S", "seconds between connection attempts"},
+        {"json", "PATH", "write the report to PATH (default stdout)"},
+    },
+    /*positionals=*/{},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
+  using stale::sim::FlagParser;
+  return stale::sim::run_tool(argc, argv, kFlags, [](const FlagParser& flags) {
     stale::net::LoadGenOptions options;
     options.status_out = &std::cerr;  // keep stdout JSON-only by default
-    std::string json_path;
-    bool have_target = false;
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto value = [&]() -> std::string {
-        if (i + 1 >= argc) usage(flag + " needs a value");
-        return argv[++i];
-      };
-      if (flag == "--target") {
-        options.targets = parse_endpoint_list(value());
-        have_target = true;
-      } else if (flag == "--lambda") {
-        options.lambda = std::stod(value());
-      } else if (flag == "--duration") {
-        options.duration = std::stod(value());
-      } else if (flag == "--drain") {
-        options.drain = std::stod(value());
-      } else if (flag == "--warmup") {
-        options.warmup_jobs = std::stoull(value());
-      } else if (flag == "--max-jobs") {
-        options.max_jobs = std::stoull(value());
-      } else if (flag == "--seed") {
-        options.seed = std::stoull(value());
-      } else if (flag == "--connect-retries") {
-        options.connect_retries = std::stoi(value());
-      } else if (flag == "--connect-backoff") {
-        options.connect_backoff = std::stod(value());
-      } else if (flag == "--json") {
-        json_path = value();
-      } else {
-        usage("unknown flag '" + flag + "'");
-      }
+    if (!flags.has("target")) {
+      throw std::invalid_argument("--target is required");
     }
-    if (!have_target) usage("--target is required");
+    options.targets = stale::net::parse_endpoint_list(flags.get("target", ""));
+    options.lambda = flags.number("lambda", options.lambda);
+    options.duration = flags.number("duration", options.duration);
+    options.drain = flags.number("drain", options.drain);
+    options.warmup_jobs =
+        flags.integer<std::uint64_t>("warmup", options.warmup_jobs);
+    options.max_jobs =
+        flags.integer<std::uint64_t>("max-jobs", options.max_jobs);
+    options.seed = flags.integer<std::uint64_t>("seed", options.seed);
+    options.connect_retries =
+        flags.integer<int>("connect-retries", options.connect_retries);
+    options.connect_backoff =
+        flags.number("connect-backoff", options.connect_backoff);
+    const std::string json_path = flags.get("json", "");
 
     install_signal_handlers();
     stale::net::LoadGen loadgen(options);
@@ -108,14 +89,10 @@ int main(int argc, char** argv) {
     } else {
       std::ofstream out(json_path);
       if (!out) {
-        std::cerr << "staleload_loadgen: cannot open '" << json_path << "'\n";
-        return 1;
+        throw std::runtime_error("cannot open '" + json_path + "'");
       }
       stale::net::write_loadgen_json(out, options, loadgen.report());
     }
     return loadgen.report().completed > 0 ? 0 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "staleload_loadgen: " << error.what() << "\n";
-    return 1;
-  }
+  });
 }

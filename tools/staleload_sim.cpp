@@ -5,49 +5,17 @@
 //   build/tools/staleload_sim --policy basic_li --model periodic --t 8
 //       --lambda 0.9 --n 10 [--job-size exp:1] [--trials 5] [--adaptive]
 //
-// Models: periodic | continuous | update_on_access | individual
-// Policies: random | k_subset:K | threshold:K:T | basic_li | aggressive_li |
-//           hybrid_li | basic_li_k:K | jiq | jiq:sq[:K]
-//
-// Multi-dispatcher scale-out (board models only):
-//   --dispatchers D            D cooperating dispatchers over one cluster,
-//                              each with its own board or continuous view
-//                              (D=1 is the paper's single dispatcher)
-//   --dispatcher-split uniform|weighted   arrival thinning across dispatchers
-//   --token-budget B           JIQ: per-dispatcher idle-token cap (0 = off)
-//
-// Large clusters: --board-repr auto|vector|bucketed selects the dispatch
-// representation. "bucketed" runs the O(#levels) counted-board path (same
-// per-level dispatch distributions, different RNG draws); "auto" (default)
-// switches to it at 1024+ servers on eligible runs (no faults, not
-// update_on_access).
-//
-// Fault injection (board models only):
-//   --fault-spec S / --crash-rate R / --update-loss P / --max-staleness 2T
-// Fault runs report the per-fault counters; --json emits the full record as
-// one JSON object instead of the table.
-//
-// Workloads beyond homogeneous Poisson (src/workload/):
-//   --arrival-spec S      poisson | mmpp:M1:M2:D1:D2 | ramp:PERIOD:AMP |
-//                         flash:AT:MULT:RAMP:HOLD:DECAY | trace:PATH
-//   --workload replay:DIR replay a recorded trace-v2 directory (from
-//                         `staleload_lb --record DIR`); overrides n, T,
-//                         model, jobs, and lambda from the manifest
-//   --estimator E         told | fixed | cema[:ALPHA[:BUCKET]] — how LI
-//                         policies learn lambda for K = lambda*T (alias of
-//                         the older --rate-est)
-//   --replay-metrics-out F  re-run trial 0 traced and write the
-//                         obs::ReplayMetrics JSON that tools/playdiff
-//                         compares against a live recording's metrics.json
-//
-// Observability (src/obs/):
-//   --trace               re-run trial 0 with a trace recorder attached and
-//                         print the event/herd-diagnostic summary block
-//   --probe-interval X    queue-trajectory sampling grid (default T/8)
-//   --trace-out PREFIX    (implies --trace) also write the artifacts
-//                         PREFIX.events.csv, PREFIX.trajectory.csv,
-//                         PREFIX.trace.json (Chrome/Perfetto trace_event
-//                         format), PREFIX.timeline.svg
+// --help lists every flag, from the same table the parser uses. Beyond the
+// one-line help:
+//   --board-repr auto switches to the O(#levels) bucketed board at 1024+
+//     servers on eligible runs (no faults, not update_on_access).
+//   --workload replay:DIR replays a `staleload_lb --record DIR` directory and
+//     takes n, T, model, jobs and lambda from its manifest.
+//   --estimator speaks the grammar staleload_lb --estimator shares
+//     (workload::make_rate_estimator).
+//   --trace-out PREFIX (implies --trace) writes PREFIX.events.csv,
+//     PREFIX.trajectory.csv, PREFIX.trace.json (Chrome/Perfetto) and
+//     PREFIX.timeline.svg; --json keeps stdout one JSON object.
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -96,7 +64,7 @@ void run_trace(const stale::driver::Cli& cli,
                const stale::driver::ExperimentConfig& config,
                bool print_summary) {
   stale::driver::TraceRunOptions options;
-  options.probe_interval = cli.get_double("probe-interval", 0.0);
+  options.probe_interval = cli.number("probe-interval", 0.0);
   const stale::driver::TraceReport report = stale::driver::run_traced_trial(
       config, stale::sim::trial_seed(config.base_seed, 0), options);
   if (print_summary) {
@@ -139,7 +107,7 @@ void write_sim_replay_metrics(const stale::driver::Cli& cli,
   stale::driver::ExperimentConfig config = base;
   config.keep_response_samples = true;
   stale::driver::TraceRunOptions options;
-  options.probe_interval = cli.get_double("probe-interval", 0.0);
+  options.probe_interval = cli.number("probe-interval", 0.0);
   const stale::driver::TraceReport report = stale::driver::run_traced_trial(
       config, stale::sim::trial_seed(config.base_seed, 0), options);
 
@@ -175,20 +143,35 @@ void write_sim_replay_metrics(const stale::driver::Cli& cli,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<std::string> flags = {
-      "policy", "model",    "t",         "lambda",    "n",
-      "job-size", "delay",  "rate-est",  "lambda-err", "precision",
-      "probe-interval", "trace-out", "arrival-spec", "workload",
-      "estimator", "replay-metrics-out"};
-  const std::vector<std::string> switches = {"bursty", "know-age", "adaptive",
-                                             "json", "trace"};
+  const std::vector<stale::sim::Flag> flags = {
+      {"policy", "SPEC", "dispatch policy (default basic_li)"},
+      {"model", "MODEL", "periodic|continuous|update_on_access|individual"},
+      {"t", "T", "update interval / staleness (default 1)"},
+      {"lambda", "L", "per-server load (default 0.9)"},
+      {"n", "N", "servers (default 10)"},
+      {"job-size", "SPEC", "job-size distribution (default exp:1)"},
+      {"delay", "KIND", "constant|uniform_half|uniform_full|exponential"},
+      {"lambda-err", "F", "multiply the told lambda by F (default 1)"},
+      {"precision", "P", "--adaptive target relative CI (default 0.03)"},
+      {"probe-interval", "X", "traced queue sampling grid (default T/8)"},
+      {"trace-out", "PREFIX", "write trace artifacts under PREFIX"},
+      {"arrival-spec", "SPEC", "poisson|mmpp:...|ramp:...|flash:...|trace:F"},
+      {"workload", "replay:DIR", "replay a recorded trace-v2 directory"},
+      {"estimator", "SPEC", "rate estimator for K = lambda*T (default told)"},
+      {"replay-metrics-out", "FILE", "write trial 0's replay metrics JSON"},
+      {"bursty", "", "bursty client arrivals (update_on_access)"},
+      {"know-age", "", "continuous model: policies see each view's age"},
+      {"adaptive", "", "run trials until the CI reaches --precision"},
+      {"json", "", "print the result record as one JSON object"},
+      {"trace", "", "re-run trial 0 traced and print the herd summary"},
+  };
   return stale::bench::run_bench(
-      argc, argv, flags, switches, [](const stale::driver::Cli& cli) {
+      argc, argv, flags, [](const stale::driver::Cli& cli) {
         stale::driver::ExperimentConfig config;
-        config.num_servers = static_cast<int>(cli.get_int("n", 10));
-        config.lambda = cli.get_double("lambda", 0.9);
+        config.num_servers = cli.integer<int>("n", 10);
+        config.lambda = cli.number("lambda", 0.9);
         config.model = parse_model(cli.get("model", "periodic"));
-        config.update_interval = cli.get_double("t", 1.0);
+        config.update_interval = cli.number("t", 1.0);
         config.delay_kind =
             stale::loadinfo::parse_delay_kind(cli.get("delay", "constant"));
         config.know_actual_age = cli.has("know-age");
@@ -196,11 +179,8 @@ int main(int argc, char** argv) {
         config.policy = cli.get("policy", "basic_li");
         config.job_size = cli.get("job-size", "exp:1");
         config.arrival_spec = cli.get("arrival-spec", "poisson");
-        // --estimator is the canonical spelling; --rate-est stays as the
-        // pre-replay alias so existing sweep scripts keep working.
-        config.rate_estimator =
-            cli.get("estimator", cli.get("rate-est", "told"));
-        config.lambda_error_factor = cli.get_double("lambda-err", 1.0);
+        config.rate_estimator = cli.get("estimator", "told");
+        config.lambda_error_factor = cli.number("lambda-err", 1.0);
         cli.apply_run_scale(config);
 
         // Replay overrides cluster shape, update model, and job count from
@@ -258,7 +238,7 @@ int main(int argc, char** argv) {
         int trials_used = config.trials;
         if (cli.has("adaptive")) {
           stale::driver::AdaptiveOptions options;
-          options.relative_precision = cli.get_double("precision", 0.03);
+          options.relative_precision = cli.number("precision", 0.03);
           const auto adaptive =
               stale::driver::run_until_confident(config, options);
           result = std::move(adaptive.result);
