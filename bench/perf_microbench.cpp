@@ -20,7 +20,9 @@
 #include "driver/experiment.h"
 #include "sim/distributions.h"
 #include "lint/lint.h"
+#include "loadinfo/individual_board.h"
 #include "policy/policy_factory.h"
+#include "queueing/cluster.h"
 #include "sim/level_histogram.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -151,6 +153,49 @@ BENCHMARK_CAPTURE(BM_LargeNDispatch, threshold_vector, "threshold:all:3",
 BENCHMARK_CAPTURE(BM_LargeNDispatch, threshold_bucketed, "threshold:all:3",
                   true)
     ->Arg(100'000);
+
+// Per-arrival Basic LI cost when only K moves: the board (info_version)
+// stays fixed while the age, and with it K = lambda * age, changes at every
+// request, as under the individual and continuous models. Each decision
+// re-solves the fill over the cached sort and rebuilds the sampler in place.
+void BM_BasicLiPerArrivalK(benchmark::State& state) {
+  const auto policy = stale::policy::make_policy("basic_li");
+  const int n = static_cast<int>(state.range(0));
+  stale::sim::Rng rng(8);
+  std::vector<int> loads(static_cast<std::size_t>(n));
+  for (int& b : loads) b = static_cast<int>(rng.next_below(20));
+  stale::policy::DispatchContext context;
+  context.loads = loads;
+  context.lambda_total = 0.9 * n;
+  context.info_version = 1;
+  double age = 0.0;
+  for (auto _ : state) {
+    age = age >= 1.0 ? 0.001 : age + 0.001;
+    context.age = age;
+    benchmark::DoNotOptimize(policy->select(context, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BasicLiPerArrivalK)->Arg(100)->Arg(1000);
+
+// One individual-board sync per simulated arrival at 0.9 arrivals per
+// server per heartbeat interval, so about 1.1 heartbeats fall due per sync:
+// each comes off the heartbeat heap, measures the cluster and publishes.
+void BM_IndividualBoardSync(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  stale::sim::Rng rng(9);
+  stale::queueing::Cluster cluster(n);
+  stale::loadinfo::IndividualBoard board(n, /*update_interval=*/1.0, rng);
+  const stale::sim::Exponential gap(1.0 / (0.9 * n));
+  double t = 0.0;
+  for (auto _ : state) {
+    t += gap.sample(rng);
+    board.sync(cluster, t);
+    benchmark::DoNotOptimize(board.version());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_IndividualBoardSync)->Arg(1000);
 
 // Per-arrival cost of the multi-dispatcher hot path at n = 100'000 on the
 // bucketed representation: one Poisson-thinning draw, the D-board

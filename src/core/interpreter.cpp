@@ -69,6 +69,7 @@ void LoadInterpreter::report_loads(std::span<const double> loads, double age) {
   }
   loads_.assign(loads.begin(), loads.end());
   age_ = age;
+  board_dirty_ = true;
   // Anchor the report in absolute time if we have a clock from on_arrival.
   report_time_ = last_arrival_time_ >= 0.0 ? last_arrival_time_ - age : -1.0;
   invalidate();
@@ -94,13 +95,15 @@ void LoadInterpreter::recompute() {
   const double expected_arrivals = current_rate_estimate() * age_;
   switch (options_.mode) {
     case LiMode::kBasic:
-      if (!options_.server_rates.empty()) {
-        probabilities_ = basic_li_probabilities_weighted(
-            loads_, options_.server_rates, expected_arrivals);
-      } else {
-        probabilities_ = basic_li_probabilities(
-            std::span<const double>(loads_), expected_arrivals);
+      if (board_dirty_) {
+        if (options_.server_rates.empty()) {
+          basic_solver_.set_board(std::span<const double>(loads_));
+        } else {
+          basic_solver_.set_board(loads_, options_.server_rates);
+        }
+        board_dirty_ = false;
       }
+      basic_solver_.solve(expected_arrivals, probabilities_);
       break;
     case LiMode::kAggressive:
       probabilities_ =
@@ -119,7 +122,7 @@ void LoadInterpreter::recompute() {
       break;
     }
   }
-  sampler_.emplace(std::span<const double>(probabilities_));
+  sampler_.rebuild(probabilities_);
   dirty_ = false;
 }
 
@@ -130,7 +133,7 @@ const std::vector<double>& LoadInterpreter::probabilities() {
 
 int LoadInterpreter::pick(sim::Rng& rng) {
   if (dirty_) recompute();
-  return sampler_->sample(rng);
+  return sampler_.sample(rng);
 }
 
 }  // namespace stale::core

@@ -71,7 +71,9 @@ class LoadInterpreter {
   void on_arrival(double t);
 
   // The interpreted probability vector for the current report. Recomputed
-  // lazily and cached until the next report_loads / on_arrival.
+  // lazily and cached until the next report_loads / on_arrival. In basic
+  // mode the sorted board is kept until the next report_loads, so an
+  // on_arrival that only ages the report re-solves without sorting.
   const std::vector<double>& probabilities();
 
   // Samples a server from probabilities().
@@ -86,11 +88,13 @@ class LoadInterpreter {
 
   Options options_;
   std::vector<double> loads_;
+  BasicLiSolver basic_solver_;  // basic mode: loads_ sorted
+  bool board_dirty_ = true;     // loads_ changed since basic_solver_ sorted
   double age_ = 0.0;
   double report_time_ = -1.0;  // absolute time of last report, if known
   double last_arrival_time_ = -1.0;
   std::vector<double> probabilities_;
-  std::optional<DiscreteSampler> sampler_;
+  DiscreteSampler sampler_;
   bool dirty_ = true;
 };
 

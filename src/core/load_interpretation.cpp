@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,12 +13,9 @@ namespace {
 // Below this K the closed form degenerates numerically; use the K -> 0 limit.
 constexpr double kTinyArrivals = 1e-12;
 
-void validate(std::span<const double> loads, double expected_arrivals) {
+void validate_loads(std::span<const double> loads) {
   if (loads.empty()) {
     throw std::invalid_argument("LI: empty load vector");
-  }
-  if (expected_arrivals < 0.0 || !std::isfinite(expected_arrivals)) {
-    throw std::invalid_argument("LI: expected_arrivals must be finite, >= 0");
   }
   for (double b : loads) {
     if (b < 0.0 || !std::isfinite(b)) {
@@ -28,10 +26,28 @@ void validate(std::span<const double> loads, double expected_arrivals) {
 
 }  // namespace
 
-std::vector<double> basic_li_probabilities_weighted(
-    std::span<const double> loads, std::span<const double> rates,
-    double expected_arrivals) {
-  validate(loads, expected_arrivals);
+void BasicLiSolver::set_board(std::span<const double> loads) {
+  validate_loads(loads);
+  loads_.assign(loads.begin(), loads.end());
+  rates_.assign(loads.size(), 1.0);
+  sort_board();
+}
+
+void BasicLiSolver::set_board(std::span<const int> loads) {
+  if (loads.empty()) {
+    throw std::invalid_argument("LI: empty load vector");
+  }
+  if (std::any_of(loads.begin(), loads.end(), [](int b) { return b < 0; })) {
+    throw std::invalid_argument("LI: loads must be finite, >= 0");
+  }
+  loads_.assign(loads.begin(), loads.end());
+  rates_.assign(loads.size(), 1.0);
+  sort_board();
+}
+
+void BasicLiSolver::set_board(std::span<const double> loads,
+                              std::span<const double> rates) {
+  validate_loads(loads);
   if (rates.size() != loads.size()) {
     throw std::invalid_argument("LI: rates/loads size mismatch");
   }
@@ -40,59 +56,84 @@ std::vector<double> basic_li_probabilities_weighted(
       throw std::invalid_argument("LI: rates must be finite, > 0");
     }
   }
+  loads_.assign(loads.begin(), loads.end());
+  rates_.assign(rates.begin(), rates.end());
+  sort_board();
+}
 
-  const std::size_t n = loads.size();
+void BasicLiSolver::sort_board() {
+  const std::size_t n = loads_.size();
   // Sort server indices by normalized load b_i / c_i ascending.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return loads[a] * rates[b] < loads[b] * rates[a];  // b_a/c_a < b_b/c_b
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return loads_[a] * rates_[b] < loads_[b] * rates_[a];  // b_a/c_a < b_b/c_b
   });
 
-  std::vector<double> p(n, 0.0);
+  // Eq. 3 generalized: the prefix order_[0..j-1] can be lifted to the
+  // normalized level of order_[j-1] by need_j = level_j * sum(c) - sum(b)
+  // jobs. The fill for a given K is the longest prefix whose every need_j
+  // is <= K, so tabulate the running maximum (a NaN need, from overflowed
+  // sums, blocks the prefix like an infinite one).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  prefix_.resize(n);
+  double load_sum = loads_[order_[0]];
+  double rate_sum = rates_[order_[0]];
+  double need_max = -kInf;
+  prefix_[0] = {load_sum, rate_sum, need_max};
+  for (std::size_t j = 2; j <= n; ++j) {
+    const std::size_t idx = order_[j - 1];
+    load_sum += loads_[idx];
+    rate_sum += rates_[idx];
+    const double level_j = loads_[idx] / rates_[idx];
+    const double need = level_j * rate_sum - load_sum;
+    need_max = std::isnan(need) ? kInf : std::max(need_max, need);
+    prefix_[j - 1] = {load_sum, rate_sum, need_max};
+  }
+}
+
+void BasicLiSolver::solve(double expected_arrivals,
+                          std::vector<double>& p) const {
+  if (expected_arrivals < 0.0 || !std::isfinite(expected_arrivals)) {
+    throw std::invalid_argument("LI: expected_arrivals must be finite, >= 0");
+  }
+  if (order_.empty()) {
+    throw std::logic_error("BasicLiSolver: solve() before set_board()");
+  }
   const double K = expected_arrivals;
+  p.assign(loads_.size(), 0.0);
 
   if (K <= kTinyArrivals) {
     // K -> 0 limit: all mass on the minimum-normalized-load set, shared
     // proportionally to service rate.
-    const std::size_t first = order[0];
-    const double min_norm = loads[first] / rates[first];
+    const std::size_t first = order_[0];
+    const double min_norm = loads_[first] / rates_[first];
     double rate_sum = 0.0;
-    for (std::size_t i : order) {
-      if (loads[i] / rates[i] <= min_norm + 1e-12) rate_sum += rates[i];
+    for (std::size_t i : order_) {
+      if (loads_[i] / rates_[i] <= min_norm + 1e-12) rate_sum += rates_[i];
     }
-    for (std::size_t i : order) {
-      if (loads[i] / rates[i] <= min_norm + 1e-12) p[i] = rates[i] / rate_sum;
+    for (std::size_t i : order_) {
+      if (loads_[i] / rates_[i] <= min_norm + 1e-12) {
+        p[i] = rates_[i] / rate_sum;
+      }
     }
-    return p;
+    return;
   }
 
-  // Find the largest prefix m (Eq. 3 generalized): K arrivals suffice to lift
-  // servers order[0..m-1] to the normalized level of order[m-1].
-  std::size_t m = 1;
-  double load_sum = loads[order[0]];
-  double rate_sum = rates[order[0]];
-  for (std::size_t j = 2; j <= n; ++j) {
-    const std::size_t idx = order[j - 1];
-    const double cand_load_sum = load_sum + loads[idx];
-    const double cand_rate_sum = rate_sum + rates[idx];
-    const double level_j = loads[idx] / rates[idx];
-    // Jobs needed to lift the first j servers to level_j:
-    const double need = level_j * cand_rate_sum - cand_load_sum;
-    if (need <= K) {
-      m = j;
-      load_sum = cand_load_sum;
-      rate_sum = cand_rate_sum;
-    } else {
-      break;  // loads are sorted, so later prefixes need even more
-    }
-  }
+  // The largest prefix m that K arrivals can fill (fill_need is sorted).
+  const auto m = static_cast<std::size_t>(
+      std::upper_bound(prefix_.begin(), prefix_.end(), K,
+                       [](double k, const Prefix& prefix) {
+                         return k < prefix.fill_need;
+                       }) -
+      prefix_.begin());
 
   // Common level after distributing K arrivals over the first m servers.
-  const double level = (load_sum + K) / rate_sum;
+  const Prefix& filled = prefix_[m - 1];
+  const double level = (filled.load_sum + K) / filled.rate_sum;
   for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t idx = order[j];
-    p[idx] = (level * rates[idx] - loads[idx]) / K;
+    const std::size_t idx = order_[j];
+    p[idx] = (level * rates_[idx] - loads_[idx]) / K;
     // Guard tiny negative values from floating-point cancellation.
     if (p[idx] < 0.0) p[idx] = 0.0;
   }
@@ -100,26 +141,44 @@ std::vector<double> basic_li_probabilities_weighted(
   // Renormalize to absorb FP drift (sum is 1 up to rounding by construction).
   const double total = std::accumulate(p.begin(), p.end(), 0.0);
   for (double& v : p) v /= total;
+}
+
+namespace {
+
+// One-shot solve: the free functions' whole body. The solver is per thread
+// to reuse its four buffers: a local one allocates them on every call and
+// made BM_BasicLiProbabilities/10 about 40% slower. set_board() replaces all
+// of its state.
+template <typename... Board>
+std::vector<double> solve_fresh(double expected_arrivals, Board... board) {
+  static thread_local BasicLiSolver solver;
+  solver.set_board(board...);
+  std::vector<double> p;
+  solver.solve(expected_arrivals, p);
   return p;
+}
+
+}  // namespace
+
+std::vector<double> basic_li_probabilities_weighted(
+    std::span<const double> loads, std::span<const double> rates,
+    double expected_arrivals) {
+  return solve_fresh(expected_arrivals, loads, rates);
 }
 
 std::vector<double> basic_li_probabilities(std::span<const double> loads,
                                            double expected_arrivals) {
-  static thread_local std::vector<double> unit_rates;
-  unit_rates.assign(loads.size(), 1.0);
-  return basic_li_probabilities_weighted(loads, unit_rates,
-                                         expected_arrivals);
+  return solve_fresh(expected_arrivals, loads);
 }
 
 std::vector<double> basic_li_probabilities(std::span<const int> loads,
                                            double expected_arrivals) {
-  std::vector<double> as_double(loads.begin(), loads.end());
-  return basic_li_probabilities(as_double, expected_arrivals);
+  return solve_fresh(expected_arrivals, loads);
 }
 
 std::vector<double> hybrid_li_first_interval_probabilities(
     std::span<const double> loads) {
-  validate(loads, 0.0);
+  validate_loads(loads);
   const double peak = *std::max_element(loads.begin(), loads.end());
   std::vector<double> p(loads.size(), 0.0);
   double deficit_sum = 0.0;
@@ -137,7 +196,7 @@ std::vector<double> hybrid_li_first_interval_probabilities(
 }
 
 double hybrid_li_first_interval_jobs(std::span<const double> loads) {
-  validate(loads, 0.0);
+  validate_loads(loads);
   const double peak = *std::max_element(loads.begin(), loads.end());
   double total = 0.0;
   for (double b : loads) total += peak - b;

@@ -20,10 +20,56 @@
 // Aggressive LI (paper Eq. 5) lives in aggressive_schedule.h.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace stale::core {
+
+// Basic LI split by what each half depends on. set_board() sorts the
+// servers by normalized load b_i / c_i and tabulates the prefix sums and
+// fill thresholds Eq. 3 scans: everything that depends on the board alone,
+// O(n log n). solve() finds the fill level m and the common level L for one
+// K and writes p (Eq. 4): O(n), no sort. A caller keys the board half on
+// its board version and the K half on K, so a model whose K moves at every
+// request (K = lambda * age) sorts once per board change, not per request.
+//
+// Every free basic_li_* function below is a one-shot use of this solver, so
+// a cached solve() is bit-identical to a fresh call on the same inputs.
+class BasicLiSolver {
+ public:
+  // Unit service rates. Loads must be finite and >= 0 (std::invalid_argument
+  // otherwise); an empty board is rejected.
+  void set_board(std::span<const double> loads);
+  void set_board(std::span<const int> loads);
+  // Server i has service rate rates[i] (finite, > 0).
+  void set_board(std::span<const double> loads, std::span<const double> rates);
+
+  // Writes the Basic LI probabilities for K = expected_arrivals (finite,
+  // >= 0) into `p`, resized to the board size; reuses p's storage. Throws
+  // std::logic_error before the first set_board().
+  void solve(double expected_arrivals, std::vector<double>& p) const;
+
+  // The board set_board() last sorted (as doubles), for cache audits.
+  std::span<const double> loads() const { return loads_; }
+
+ private:
+  void sort_board();
+
+  std::vector<double> loads_;
+  std::vector<double> rates_;
+  std::vector<std::size_t> order_;  // servers by ascending b_i / c_i
+  // prefix_[j - 1] describes the prefix order_[0..j-1]: its load and rate
+  // sums, and the largest of the jobs needed to lift each prefix 2..j to
+  // its own last server's level (non-decreasing in j; -inf for j = 1, as
+  // one server always fills).
+  struct Prefix {
+    double load_sum;
+    double rate_sum;
+    double fill_need;
+  };
+  std::vector<Prefix> prefix_;
+};
 
 // Basic LI probabilities (Eqs. 2-4). `loads` are the reported queue lengths
 // (need not be sorted; any non-negative reals). `expected_arrivals` is K >= 0.

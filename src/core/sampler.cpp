@@ -31,6 +31,10 @@ double validated_sum(std::span<const double> probabilities) {
 }  // namespace
 
 DiscreteSampler::DiscreteSampler(std::span<const double> probabilities) {
+  rebuild(probabilities);
+}
+
+void DiscreteSampler::rebuild(std::span<const double> probabilities) {
   const double sum = validated_sum(probabilities);
   cdf_.resize(probabilities.size());
   double acc = 0.0;

@@ -1,44 +1,63 @@
 #include "loadinfo/individual_board.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.h"
 
 namespace stale::loadinfo {
 
+namespace {
+
+std::vector<double> draw_offsets(int num_servers, double update_interval,
+                                 sim::Rng& rng) {
+  std::vector<double> offsets(
+      static_cast<std::size_t>(std::max(num_servers, 0)));
+  for (double& offset : offsets) offset = rng.next_double() * update_interval;
+  return offsets;
+}
+
+}  // namespace
+
 IndividualBoard::IndividualBoard(int num_servers, double update_interval,
                                  sim::Rng& rng)
+    : IndividualBoard(draw_offsets(num_servers, update_interval, rng),
+                      update_interval) {}
+
+IndividualBoard::IndividualBoard(const std::vector<double>& offsets,
+                                 double update_interval)
     : interval_(update_interval) {
-  if (num_servers <= 0) {
+  if (offsets.empty()) {
     throw std::invalid_argument("IndividualBoard: need at least one server");
   }
   if (update_interval <= 0.0) {
     throw std::invalid_argument("IndividualBoard: interval must be > 0");
   }
-  snapshot_.assign(static_cast<std::size_t>(num_servers), 0);
-  last_refresh_.assign(static_cast<std::size_t>(num_servers), 0.0);
-  pending_.resize(static_cast<std::size_t>(num_servers));
-  next_refresh_.resize(static_cast<std::size_t>(num_servers));
-  for (double& next : next_refresh_) {
-    next = rng.next_double() * update_interval;
+  const std::size_t n = offsets.size();
+  snapshot_.assign(n, 0);
+  last_refresh_.assign(n, 0.0);
+  pending_.resize(n);
+  due_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(offsets[i]) || offsets[i] < 0.0) {
+      throw std::invalid_argument(
+          "IndividualBoard: offsets must be finite, >= 0");
+    }
+    due_.push_back({offsets[i], static_cast<int>(i)});
   }
+  std::make_heap(due_.begin(), due_.end(), later);
 }
 
 void IndividualBoard::sync(queueing::Cluster& cluster, double t,
                            RefreshFaults* faults) {
   // Take measurements in global time order so that each heartbeat reads the
   // cluster exactly at its boundary.
-  while (true) {
-    int due = -1;
-    double due_time = t;
-    for (std::size_t i = 0; i < next_refresh_.size(); ++i) {
-      if (next_refresh_[i] <= due_time) {
-        due = static_cast<int>(i);
-        due_time = next_refresh_[i];
-      }
-    }
-    if (due < 0) break;
+  while (due_.front().at <= t) {
+    std::pop_heap(due_.begin(), due_.end(), later);
+    DueHeartbeat& next = due_.back();
+    const double due_time = next.at;
+    const int due = next.server;
     STALE_DCHECK(due_time <= t);
     const auto s = static_cast<std::size_t>(due);
     if (faults == nullptr || !faults->drop_refresh()) {
@@ -47,6 +66,11 @@ void IndividualBoard::sync(queueing::Cluster& cluster, double t,
       if (trace_ && delay > 0.0) {
         trace_->on_refresh_fault(due_time,
                                  obs::FaultTraceEvent::kRefreshDelayed, due);
+      }
+      if (pending_[s].empty()) {
+        pending_servers_.insert(std::lower_bound(pending_servers_.begin(),
+                                                 pending_servers_.end(), due),
+                                due);
       }
       // FIFO per server: a heartbeat never overtakes its predecessor.
       const double publish = std::max(
@@ -57,33 +81,34 @@ void IndividualBoard::sync(queueing::Cluster& cluster, double t,
       trace_->on_refresh_fault(due_time, obs::FaultTraceEvent::kRefreshLost,
                                due);
     }
-    next_refresh_[s] = due_time + interval_;
+    next.at = due_time + interval_;
+    std::push_heap(due_.begin(), due_.end(), later);
   }
-  // Publish everything that has arrived by t.
-  for (std::size_t s = 0; s < pending_.size(); ++s) {
-    while (!pending_[s].empty() && pending_[s].front().publish <= t) {
-      STALE_DCHECK(pending_[s].front().measured <=
-                   pending_[s].front().publish);
-      snapshot_[s] = pending_[s].front().value;
-      last_refresh_[s] = pending_[s].front().measured;
-      const double publish = pending_[s].front().publish;
-      pending_[s].pop_front();
+  publish_arrived(t);
+}
+
+void IndividualBoard::publish_arrived(double t) {
+  // Ascending server index, as a full pass over the servers would publish.
+  std::size_t kept = 0;
+  for (const int server : pending_servers_) {
+    const auto s = static_cast<std::size_t>(server);
+    std::deque<PendingHeartbeat>& queue = pending_[s];
+    while (!queue.empty() && queue.front().publish <= t) {
+      STALE_DCHECK(queue.front().measured <= queue.front().publish);
+      snapshot_[s] = queue.front().value;
+      last_refresh_[s] = queue.front().measured;
+      const double publish = queue.front().publish;
+      queue.pop_front();
       ++version_;
-      if (track_levels_) {
-        level_index_.update(static_cast<int>(s), snapshot_[s]);
-      }
+      if (track_levels_) level_index_.update(server, snapshot_[s]);
       if (trace_) {
         trace_->on_board_refresh(publish, last_refresh_[s], version_,
                                  snapshot_);
       }
     }
+    if (!queue.empty()) pending_servers_[kept++] = server;
   }
-}
-
-double IndividualBoard::next_refresh_at() const {
-  double earliest = next_refresh_.front();
-  for (double next : next_refresh_) earliest = std::min(earliest, next);
-  return earliest;
+  pending_servers_.resize(kept);
 }
 
 double IndividualBoard::mean_age(double t) const {

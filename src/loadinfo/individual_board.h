@@ -6,6 +6,14 @@
 // Under fault injection a server's heartbeat can be lost (its entry keeps
 // aging past T) or delayed (measured on schedule, visible later; deliveries
 // from one server are FIFO).
+//
+// Heartbeats come off a min-heap of (next refresh, server), ties to the
+// highest server index, and publish in ascending server index from a sorted
+// list of the servers holding undelivered heartbeats, so a sync costs
+// O(log n) per heartbeat plus O(servers with undelivered heartbeats). Both
+// orders are part of the board's contract: they fix which cluster state each
+// measurement reads and the order of version bumps, level-index updates and
+// trace callbacks.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +34,10 @@ class IndividualBoard {
   // de-phased, mirroring staggered heartbeat timers in real systems.
   IndividualBoard(int num_servers, double update_interval, sim::Rng& rng);
 
+  // Explicit phase offsets: server i first refreshes at offsets[i] (finite,
+  // >= 0), then every update_interval.
+  IndividualBoard(const std::vector<double>& offsets, double update_interval);
+
   // Refreshes every entry whose boundary passed by time `t`. `faults`
   // (nullable) may drop or delay individual heartbeats.
   void sync(queueing::Cluster& cluster, double t,
@@ -38,9 +50,10 @@ class IndividualBoard {
   double mean_age(double t) const;
   std::uint64_t version() const { return version_; }
 
-  // Earliest pending heartbeat boundary across servers. Multi-board drivers
-  // use this to interleave several boards' refreshes in global time order.
-  double next_refresh_at() const;
+  // Earliest pending heartbeat boundary across servers, O(1). Multi-board
+  // drivers use this to interleave several boards' refreshes in global time
+  // order.
+  double next_refresh_at() const { return due_.front().at; }
 
   // Turns on the bucketed snapshot: level_index() stays in sync with
   // loads(), maintained O(1) per published heartbeat (each heartbeat moves
@@ -70,11 +83,24 @@ class IndividualBoard {
     int value;
   };
 
+  struct DueHeartbeat {
+    double at;
+    int server;
+  };
+  // Heap order for std::push_heap / pop_heap: the top is the earliest
+  // boundary, and among equal boundaries the highest server index.
+  static bool later(const DueHeartbeat& a, const DueHeartbeat& b) {
+    return a.at > b.at || (a.at == b.at && a.server < b.server);
+  }
+
+  void publish_arrived(double t);
+
   double interval_;
-  std::vector<double> next_refresh_;
+  std::vector<DueHeartbeat> due_;  // one entry per server, heap by later()
   std::vector<double> last_refresh_;
   std::vector<int> snapshot_;
   std::vector<std::deque<PendingHeartbeat>> pending_;  // per server, FIFO
+  std::vector<int> pending_servers_;  // ascending; those with pending_ set
   std::uint64_t version_ = 1;
   bool track_levels_ = false;
   sim::LevelIndex level_index_;

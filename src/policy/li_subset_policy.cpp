@@ -4,8 +4,6 @@
 #include <string>
 
 #include "check/audit.h"
-#include "core/load_interpretation.h"
-#include "core/sampler.h"
 
 namespace stale::policy {
 
@@ -31,8 +29,8 @@ int LiSubsetPolicy::select(const DispatchContext& context, sim::Rng& rng) {
   const double subset_arrivals = context.basic_li_expected_arrivals() *
                                  static_cast<double>(k) /
                                  static_cast<double>(n);
-  std::vector<double> p = core::basic_li_probabilities(
-      std::span<const double>(subset_loads_), subset_arrivals);
+  solver_.set_board(std::span<const double>(subset_loads_));
+  solver_.solve(subset_arrivals, p_);
   if (!context.alive.empty()) {
     // Project the cluster-wide liveness mask onto the sampled subset so the
     // sanitizer can steer mass off known-dead members.
@@ -44,14 +42,14 @@ int LiSubsetPolicy::select(const DispatchContext& context, sim::Rng& rng) {
     }
   }
   const bool repaired = sanitize_probabilities(
-      p, context.alive.empty() ? std::span<const std::uint8_t>{}
-                               : std::span<const std::uint8_t>(subset_alive_));
+      p_, context.alive.empty() ? std::span<const std::uint8_t>{}
+                                : std::span<const std::uint8_t>(subset_alive_));
   if (repaired) context.count_sanitize_event();
   STALE_AUDIT(
-      check::audit_dispatch_weights(p, !repaired, "LiSubsetPolicy::select"));
-  context.trace_probabilities(p);
-  const core::DiscreteSampler sampler{std::span<const double>(p)};
-  return indices_[static_cast<std::size_t>(sampler.sample(rng))];
+      check::audit_dispatch_weights(p_, !repaired, "LiSubsetPolicy::select"));
+  context.trace_probabilities(p_);
+  sampler_.rebuild(p_);
+  return indices_[static_cast<std::size_t>(sampler_.sample(rng))];
 }
 
 std::string LiSubsetPolicy::name() const {

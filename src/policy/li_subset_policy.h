@@ -8,6 +8,8 @@
 
 #include <vector>
 
+#include "core/load_interpretation.h"
+#include "core/sampler.h"
 #include "policy/policy.h"
 
 namespace stale::policy {
@@ -25,6 +27,11 @@ class LiSubsetPolicy final : public SelectionPolicy {
   std::vector<int> indices_;
   std::vector<double> subset_loads_;
   std::vector<std::uint8_t> subset_alive_;
+  // Per-request scratch, kept to reuse its storage: each request draws a
+  // fresh subset, so nothing here survives as a cache.
+  core::BasicLiSolver solver_;
+  std::vector<double> p_;
+  core::DiscreteSampler sampler_;
 };
 
 }  // namespace stale::policy
