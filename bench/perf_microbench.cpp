@@ -238,6 +238,25 @@ void BM_MultiDispatcherDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiDispatcherDispatch)->Arg(1)->Arg(4)->Arg(16);
 
+// Trial set-up at scale: building an n-server cluster and a four-dispatcher
+// periodic board set, the per-trial fixed cost of the large-n runs. Per-server
+// queues allocate nothing until first used, so this is a few O(n) vector
+// fills rather than n heap allocations per queue.
+void BM_ClusterSetup(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    stale::sim::Rng rng(3);
+    stale::queueing::Cluster cluster(n);
+    stale::dispatch::DispatcherSet boards(4, n, /*update_interval=*/1.0,
+                                          /*use_individual=*/false, rng);
+    benchmark::DoNotOptimize(cluster.loads().data());
+    benchmark::DoNotOptimize(boards.loads(0).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ClusterSetup)->Arg(100'000);
+
 // The event-queue design the slab replaced: an unordered_map from event id
 // to callback plus a lazy-deletion heap. Kept here (only here) as the
 // baseline for BM_SimulatorEventLoop — one hash insert/find/erase and a

@@ -443,15 +443,13 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
 
     // Snapshot the true pre-dispatch queue lengths (arrival epochs give
-    // unbiased time averages) once the warmup has passed. The histogram
-    // overload computes the same statistics in O(#levels).
+    // unbiased time averages) once the warmup has passed. The cluster keeps
+    // its level histogram in step with loads() (a crashed server reads 0),
+    // so the histogram overload gives the vector statistics bit for bit in
+    // O(#levels).
     cluster.advance_to(t);
     if (job >= config.warmup_jobs) {
-      if (bucketed && !churn) {
-        imbalance.observe(cluster.level_histogram());
-      } else {
-        imbalance.observe(cluster.loads());
-      }
+      imbalance.observe(cluster.level_histogram());
     }
     if (dispatched) {
       const double size = trial_workload.sizes->sample(rng);

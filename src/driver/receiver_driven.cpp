@@ -1,13 +1,13 @@
 #include "driver/receiver_driven.h"
 
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 #include <vector>
 
 #include "policy/policy.h"
 #include "policy/policy_factory.h"
 #include "queueing/metrics.h"
+#include "sim/fifo.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "workload/job_size.h"
@@ -175,7 +175,7 @@ class StealingSystem {
   policy::PolicyPtr policy_;
   sim::DistributionPtr job_size_;
   sim::Simulator sim_;
-  std::vector<std::deque<QueuedJob>> queues_;
+  std::vector<sim::Fifo<QueuedJob>> queues_;
   std::vector<bool> busy_;
   std::vector<int> board_;
   double board_time_ = 0.0;

@@ -92,7 +92,7 @@ void IndividualBoard::publish_arrived(double t) {
   std::size_t kept = 0;
   for (const int server : pending_servers_) {
     const auto s = static_cast<std::size_t>(server);
-    std::deque<PendingHeartbeat>& queue = pending_[s];
+    sim::Fifo<PendingHeartbeat>& queue = pending_[s];
     while (!queue.empty() && queue.front().publish <= t) {
       STALE_DCHECK(queue.front().measured <= queue.front().publish);
       snapshot_[s] = queue.front().value;

@@ -5,7 +5,9 @@
 //
 // Under fault injection a server's heartbeat can be lost (its entry keeps
 // aging past T) or delayed (measured on schedule, visible later; deliveries
-// from one server are FIFO).
+// from one server are FIFO). Measured heartbeats wait for their publish time
+// in a per-server sim::Fifo, which allocates nothing until that server's
+// first heartbeat, so building a board costs O(1) allocations at any n.
 //
 // Heartbeats come off a min-heap of (next refresh, server), ties to the
 // highest server index, and publish in ascending server index from a sorted
@@ -17,12 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "loadinfo/refresh_faults.h"
 #include "obs/trace_sink.h"
 #include "queueing/cluster.h"
+#include "sim/fifo.h"
 #include "sim/level_histogram.h"
 #include "sim/rng.h"
 
@@ -99,7 +101,7 @@ class IndividualBoard {
   std::vector<DueHeartbeat> due_;  // one entry per server, heap by later()
   std::vector<double> last_refresh_;
   std::vector<int> snapshot_;
-  std::vector<std::deque<PendingHeartbeat>> pending_;  // per server, FIFO
+  std::vector<sim::Fifo<PendingHeartbeat>> pending_;  // per server
   std::vector<int> pending_servers_;  // ascending; those with pending_ set
   std::uint64_t version_ = 1;
   bool track_levels_ = false;

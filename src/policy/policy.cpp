@@ -34,29 +34,32 @@ bool sanitize_probabilities(std::vector<double>& p,
                             std::span<const std::uint8_t> alive) {
   // First pass: detect defects without touching the vector, so a healthy
   // input stays bit-identical (no renormalization drift in non-fault runs).
+  // A healthy vector only needs some mass to sample from; for finite,
+  // non-negative entries "a live entry is > 0" is the same test as "the live
+  // mass is > 0", without the add chain.
   bool defective = false;
-  double usable_mass = 0.0;
+  bool has_mass = false;
   for (std::size_t i = 0; i < p.size(); ++i) {
     const double v = p[i];
     const bool dead = !alive.empty() && i < alive.size() && alive[i] == 0;
     if (!std::isfinite(v) || v < 0.0 || (dead && v > 0.0)) {
       defective = true;
-    } else if (!dead) {
-      usable_mass += v;
+    } else if (!dead && v > 0.0) {
+      has_mass = true;
     }
   }
-  if (!defective && usable_mass > 0.0) {
+  if (!defective && has_mass) {
     STALE_AUDIT(check::audit_quarantined_mass(p, alive,
                                               "sanitize_probabilities"));
     return false;
   }
 
+  double usable_mass = 0.0;
   if (defective) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       const bool dead = !alive.empty() && i < alive.size() && alive[i] == 0;
       if (!std::isfinite(p[i]) || p[i] < 0.0 || dead) p[i] = 0.0;
     }
-    usable_mass = 0.0;
     for (double v : p) usable_mass += v;
   }
   if (usable_mass <= 0.0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <stdexcept>
 
 #include "check/audit.h"
@@ -13,11 +14,11 @@ namespace {
 
 // Queue bookkeeping invariants, checked after every mutation in audit
 // builds: pending departures ascending and not behind the server clock,
-// per-job metadata exactly parallel to the departure deque when tracking,
-// and the (deque-derived) queue length non-negative by construction — the
+// per-job metadata exactly parallel to the departure queue when tracking,
+// and the (queue-derived) queue length non-negative by construction — the
 // cast in length() could only go negative on a size_t > INT_MAX queue,
 // which the contract below rules out.
-void audit_server(const std::deque<double>& departures, double advanced_time,
+void audit_server(const sim::Fifo<double>& departures, double advanced_time,
                   bool track_jobs, std::size_t meta_size) {
   double prev = advanced_time;
   for (double d : departures) {

@@ -5,7 +5,8 @@
 // departure time is fully determined at dispatch:
 //     departure = max(arrival, time server frees up) + size / rate.
 // The server therefore never needs departure *events*; it keeps the pending
-// departure times in a deque and pops them lazily as simulated time advances.
+// departure times in a ring (sim::Fifo, which allocates nothing until the
+// first job arrives) and pops them lazily as simulated time advances.
 // A pruned history of queue-length changes supports exact queries of the
 // queue length at past instants, which the continuous-update staleness model
 // needs ("what did this server look like d time units ago?").
@@ -22,11 +23,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
 #include "obs/trace_sink.h"
+#include "sim/fifo.h"
 
 namespace stale::queueing {
 
@@ -145,7 +146,7 @@ class FifoServer {
   double rate_;
   double history_window_;
   double advanced_time_ = 0.0;
-  std::deque<double> departures_;  // pending departure times, ascending
+  sim::Fifo<double> departures_;  // pending departure times, ascending
   std::size_t completed_ = 0;
 
   // (time, queue length from `time` onward); ascending by time. Maintained
@@ -160,7 +161,7 @@ class FifoServer {
   // Fault state. meta_ parallels departures_ when tracking is on.
   bool track_jobs_ = false;
   bool up_ = true;
-  std::deque<JobMeta> meta_;
+  sim::Fifo<JobMeta> meta_;
   std::vector<CompletedJob> completions_;
 
   // Trace hooks (null when tracing is off; one predictable branch per site).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace stale::queueing {
 namespace {
 
@@ -142,6 +145,73 @@ TEST(FifoServerTest, UtilizationApproachesOfferedLoad) {
   }
   server.advance_to(t + 10.0);
   EXPECT_NEAR(server.busy_time() / server.advanced_time(), 0.25, 0.01);
+}
+
+TEST(FifoServerTest, CrashRequeueAcrossQueueGrowth) {
+  // Twelve tagged jobs of sizes 1..12 behind one another: the queue's ring
+  // grows twice (4 -> 8 -> 16). Three complete before the crash, so the
+  // queue starts mid-ring when its nine survivors are displaced.
+  FifoServer victim;
+  victim.enable_job_tracking();
+  for (std::uint64_t tag = 0; tag < 12; ++tag) {
+    victim.assign_tagged(0.0, static_cast<double>(tag + 1), tag, -1.0 * tag);
+  }
+  ASSERT_EQ(victim.length(), 12);
+  victim.advance_to(7.0);  // jobs 0..2 finish at 1, 3, 6
+  ASSERT_EQ(victim.length(), 9);
+  ASSERT_EQ(victim.completions().size(), 3u);
+  EXPECT_EQ(victim.completions()[2].tag, 2u);
+  EXPECT_DOUBLE_EQ(victim.completions()[2].response, 6.0 + 2.0);
+  EXPECT_DOUBLE_EQ(victim.next_departure(), 10.0);
+  EXPECT_DOUBLE_EQ(victim.last_pending_departure(), 78.0);
+
+  std::vector<DisplacedJob> displaced;
+  victim.crash(8.0, displaced);
+  ASSERT_EQ(displaced.size(), 9u);
+  for (std::size_t i = 0; i < displaced.size(); ++i) {
+    const std::uint64_t tag = i + 3;  // FIFO order, survivors only
+    EXPECT_EQ(displaced[i].tag, tag);
+    EXPECT_DOUBLE_EQ(displaced[i].size, static_cast<double>(tag + 1));
+    EXPECT_DOUBLE_EQ(displaced[i].born, -1.0 * static_cast<double>(tag));
+  }
+  EXPECT_EQ(victim.length(), 0);
+  EXPECT_DOUBLE_EQ(victim.busy_time(), 8.0);
+
+  // Requeue every survivor on a fresh server: its queue grows through the
+  // same sizes and completes them in order with their original clocks.
+  FifoServer rescuer;
+  rescuer.enable_job_tracking();
+  for (const DisplacedJob& job : displaced) {
+    rescuer.assign_tagged(8.0, job.size, job.tag, job.born);
+  }
+  rescuer.advance_to(1000.0);
+  ASSERT_EQ(rescuer.completions().size(), 9u);
+  double finish = 8.0;
+  for (std::size_t i = 0; i < 9; ++i) {
+    const CompletedJob& done = rescuer.completions()[i];
+    finish += displaced[i].size;
+    EXPECT_EQ(done.tag, displaced[i].tag);
+    EXPECT_DOUBLE_EQ(done.departure, finish);
+    EXPECT_DOUBLE_EQ(done.response, finish - displaced[i].born);
+  }
+
+  // The crashed server comes back empty and queues from scratch.
+  victim.recover(9.0);
+  EXPECT_DOUBLE_EQ(victim.assign_tagged(9.0, 2.0, 99, 9.0), 11.0);
+  EXPECT_EQ(victim.length(), 1);
+}
+
+TEST(FifoServerTest, CopyCarriesTheQueue) {
+  FifoServer original;
+  for (int i = 0; i < 6; ++i) original.assign(0.0, 1.0);
+  original.advance_to(2.5);
+  FifoServer copy = original;
+  EXPECT_EQ(copy.length(), 4);
+  EXPECT_DOUBLE_EQ(copy.next_departure(), 3.0);
+  copy.advance_to(10.0);
+  EXPECT_EQ(copy.length(), 0);
+  EXPECT_EQ(original.length(), 4);
+  EXPECT_EQ(copy.completed_jobs(), 6u);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault_injector.h"
+#include "fault/fault_spec.h"
 #include "loadinfo/continuous_view.h"
 #include "loadinfo/delay_distribution.h"
 #include "loadinfo/individual_board.h"
@@ -17,6 +19,7 @@
 #include "loadinfo/refresh_faults.h"
 #include "obs/trace_sink.h"
 #include "queueing/cluster.h"
+#include "sim/fifo.h"
 #include "sim/rng.h"
 
 namespace stale::loadinfo {
@@ -252,6 +255,7 @@ class ScanBoard {
             due_time + delay,
             pending_[s].empty() ? 0.0 : pending_[s].back().publish);
         pending_[s].push_back({publish, due_time, cluster.loads()[s]});
+        max_pending_ = std::max(max_pending_, pending_[s].size());
       } else if (trace_) {
         trace_->on_refresh_fault(due_time,
                                  obs::FaultTraceEvent::kRefreshLost, due);
@@ -295,6 +299,8 @@ class ScanBoard {
   }
   const sim::LevelIndex& level_index() const { return level_index_; }
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
+  // Most heartbeats any one server has had measured but not yet published.
+  std::size_t max_pending() const { return max_pending_; }
 
  private:
   struct PendingHeartbeat {
@@ -308,6 +314,7 @@ class ScanBoard {
   std::vector<double> last_refresh_;
   std::vector<int> snapshot_;
   std::vector<std::deque<PendingHeartbeat>> pending_;
+  std::size_t max_pending_ = 0;
   std::uint64_t version_ = 1;
   bool track_levels_ = false;
   sim::LevelIndex level_index_;
@@ -473,6 +480,47 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<HeapScanCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(IndividualBoardTest, DelayedHeartbeatsQueueAcrossRingGrowth) {
+  // Exponential heartbeat delays of mean 2.5 T (the fault spec delay=2.5):
+  // FIFO delivery holds every later heartbeat behind a long one, so a
+  // server's undelivered queue outgrows its first ring while the front is
+  // mid-ring. Every observable still matches the full-scan reference.
+  constexpr int kServers = 16;
+  constexpr double kInterval = 1.0;
+  sim::Rng rng(0xD1A7);
+  std::vector<double> offsets(kServers);
+  for (double& offset : offsets) offset = rng.next_double() * kInterval;
+  IndividualBoard board(offsets, kInterval);
+  ScanBoard scan(offsets, kInterval);
+  queueing::Cluster board_cluster(kServers);
+  queueing::Cluster scan_cluster(kServers);
+  const fault::FaultSpec spec = fault::FaultSpec::parse("delay=2.5");
+  sim::Rng board_parent(7);
+  sim::Rng scan_parent(7);
+  fault::FaultInjector board_faults(spec, kServers, board_parent);
+  fault::FaultInjector scan_faults(spec, kServers, scan_parent);
+
+  double t = 0.0;
+  for (int step = 0; step < 3000; ++step) {
+    t += 0.1 * rng.next_double();
+    board.sync(board_cluster, t, &board_faults);
+    scan.sync(scan_cluster, t, &scan_faults);
+    ASSERT_EQ(board.loads(), scan.loads()) << "step " << step;
+    ASSERT_EQ(board.version(), scan.version()) << "step " << step;
+    ASSERT_EQ(board.mean_age(t), scan.mean_age(t)) << "step " << step;
+    for (int s = 0; s < kServers; ++s) {
+      ASSERT_EQ(board.entry_age(s, t), scan.entry_age(s, t))
+          << "step " << step << " server " << s;
+    }
+    const int server = static_cast<int>(rng.next_below(kServers));
+    const double size = 2.0 * rng.next_double();
+    board_cluster.assign(t, server, size);
+    scan_cluster.assign(t, server, size);
+  }
+  EXPECT_GT(board_faults.stats().updates_delayed, 1000u);
+  EXPECT_GT(scan.max_pending(), 2 * sim::Fifo<int>::kFirstCapacity);
+}
 
 TEST(IndividualBoardTest, TiedBoundariesMeasureHighestIndexFirst) {
   // Every heartbeat lost, so the fault trace lists the measurement order.

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dispatch/dispatcher_set.h"
 #include "dispatch/jiq.h"
 #include "driver/experiment.h"
+#include "obs/trace_sink.h"
+#include "queueing/load_stats.h"
 #include "sim/rng.h"
 
 namespace {
@@ -285,6 +289,101 @@ void expect_trials_identical(const TrialResult& a, const TrialResult& b) {
   EXPECT_EQ(a.mean_queue_stddev, b.mean_queue_stddev);
   EXPECT_EQ(a.mean_queue_max, b.mean_queue_max);
   EXPECT_EQ(a.mean_queue_length, b.mean_queue_length);
+}
+
+// --- Imbalance sampling ---------------------------------------------------
+
+// Rebuilds the true queue-length vector from the cluster's trace events and
+// feeds it, at every measured arrival, to the vector overload of
+// LoadImbalanceStats: the formula the engine's histogram sampling must
+// reproduce bit for bit. The engine samples after retiring departures up to
+// the arrival and before dispatching it, so a snapshot is taken at the first
+// event past that point: the arrival's own dispatch, a later departure, a
+// crash, or the next decision.
+class LoadMirror final : public stale::obs::TraceSink {
+ public:
+  LoadMirror(int servers, std::uint64_t warmup)
+      : loads_(static_cast<std::size_t>(servers), 0), warmup_(warmup) {}
+
+  void on_dispatch(double, int server, double, int queue_len_after,
+                   double) override {
+    take_pending();
+    loads_[static_cast<std::size_t>(server)] = queue_len_after;
+  }
+  void on_departure(double t, int server, int queue_len_after) override {
+    if (t > pending_at_) take_pending();
+    loads_[static_cast<std::size_t>(server)] = queue_len_after;
+  }
+  void on_server_down(double, int server, int) override {
+    take_pending();
+    loads_[static_cast<std::size_t>(server)] = 0;  // a down server reads 0
+  }
+  void on_decision(double t, int, double) override {
+    take_pending();
+    if (decisions_++ >= warmup_) {
+      pending_ = true;
+      pending_at_ = t;
+    }
+  }
+
+  const stale::queueing::LoadImbalanceStats& finish() {
+    take_pending();
+    return stats_;
+  }
+
+ private:
+  void take_pending() {
+    if (!pending_) return;
+    stats_.observe(loads_);
+    pending_ = false;
+  }
+
+  std::vector<int> loads_;
+  std::uint64_t warmup_;
+  std::uint64_t decisions_ = 0;
+  bool pending_ = false;
+  double pending_at_ = 0.0;
+  stale::queueing::LoadImbalanceStats stats_;
+};
+
+void expect_imbalance_matches_vector_formula(ExperimentConfig config,
+                                             std::uint64_t seed) {
+  LoadMirror mirror(config.num_servers, config.warmup_jobs);
+  config.trace_sink = &mirror;
+  const TrialResult result = stale::driver::run_trial(config, seed);
+  const stale::queueing::LoadImbalanceStats& expected = mirror.finish();
+  EXPECT_GT(result.faults.crashes, 0u);
+  EXPECT_EQ(expected.snapshots(), config.num_jobs - config.warmup_jobs);
+  EXPECT_EQ(result.mean_queue_stddev, expected.mean_within_snapshot_stddev());
+  EXPECT_EQ(result.mean_queue_max, expected.mean_snapshot_max());
+  EXPECT_EQ(result.mean_queue_length, expected.mean_queue_length());
+}
+
+TEST(EngineImbalanceTest, ChurnMatchesVectorFormula) {
+  for (const stale::policy::BoardRepr repr :
+       {stale::policy::BoardRepr::kVector,
+        stale::policy::BoardRepr::kBucketed}) {
+    SCOPED_TRACE(repr == stale::policy::BoardRepr::kVector ? "vector"
+                                                           : "bucketed");
+    ExperimentConfig config = small_config();
+    config.num_servers = 24;
+    config.lambda = 0.9;
+    config.board_repr = repr;
+    config.churn = stale::health::ChurnSpec::parse(
+        "restart=6,restartdown=2,leave=0.02,rejoin=3,semantics=requeue");
+    expect_imbalance_matches_vector_formula(config, 31);
+    config.dispatchers = 2;
+    config.model = UpdateModel::kIndividual;
+    expect_imbalance_matches_vector_formula(config, 32);
+  }
+}
+
+TEST(EngineImbalanceTest, CrashFaultsMatchVectorFormula) {
+  ExperimentConfig config = small_config();
+  config.num_servers = 16;
+  config.fault = stale::fault::FaultSpec::parse(
+      "crash=0.02,down=4,semantics=lost,loss=0.2,delay=0.5");
+  expect_imbalance_matches_vector_formula(config, 5);
 }
 
 // --- Multi-dispatcher runs ------------------------------------------------
