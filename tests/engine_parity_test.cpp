@@ -1,7 +1,8 @@
-// Bit-exact pin of the board-model trial engine: every TrialResult field of a
-// fixed set of small configurations — each board model and representation,
-// churn, every fault class, an online estimator, a non-Poisson arrival spec,
-// and a few multi-dispatcher runs — compared against
+// Bit-exact pin of the trial engine: every TrialResult field of a fixed set
+// of small configurations — each board model and representation, churn,
+// every fault class, an online estimator, a non-Poisson arrival spec, a few
+// multi-dispatcher runs, and update-on-access (plain, bursty, and a run that
+// min_jobs_per_client extends) — compared against
 // tests/golden/engine_parity.csv. Doubles are stored as hex floats, so a
 // match is a match of every bit, not a tolerance. Any change to a draw, a
 // tie-break or a summation order in the arrival loop fails here.
@@ -132,6 +133,19 @@ const std::vector<ParityCase>& parity_cases() {
       {"multi_jiq_d2", [](ExperimentConfig& c) {
          c.dispatchers = 2;
          c.policy = "jiq";
+       }},
+      {"update_on_access",
+       [](ExperimentConfig& c) { c.model = UpdateModel::kUpdateOnAccess; }},
+      {"update_on_access_bursty",
+       [](ExperimentConfig& c) {
+         c.model = UpdateModel::kUpdateOnAccess;
+         c.bursty = true;
+       }},
+      {"update_on_access_min_jobs",
+       [](ExperimentConfig& c) {
+         // 27 clients x 150 jobs extends the 3,000-job run to 4,050.
+         c.model = UpdateModel::kUpdateOnAccess;
+         c.min_jobs_per_client = 150;
        }},
   };
   return kCases;
