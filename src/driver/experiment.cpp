@@ -1,21 +1,12 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "dispatch/jiq.h"
 #include "driver/multi_dispatcher.h"
-#include "driver/trial_workload.h"
-#include "driver/update_on_access.h"
-#include "policy/policy_factory.h"
-#include "queueing/cluster.h"
-#include "queueing/metrics.h"
 #include "runtime/thread_pool.h"
 #include "sim/rng.h"
 #include "workload/arrival_spec.h"
-#include "workload/bursty_process.h"
-#include "workload/job_size.h"
 
 namespace stale::driver {
 
@@ -34,6 +25,17 @@ std::string update_model_name(UpdateModel model) {
 }
 
 namespace {
+
+// A field the model does not read must keep its default: a flag that
+// changes nothing must not pass silently.
+void require_read(bool read, const char* field, const ExperimentConfig& config,
+                  const char* reader) {
+  if (read) return;
+  throw std::invalid_argument(std::string("ExperimentConfig: ") + field +
+                              " is not read by the " +
+                              update_model_name(config.model) +
+                              " model (only " + reader + " reads it)");
+}
 
 void validate(const ExperimentConfig& config) {
   if (config.num_servers < 1) {
@@ -76,27 +78,25 @@ void validate(const ExperimentConfig& config) {
     throw std::invalid_argument(
         "ExperimentConfig: jiq_token_budget must be >= 0");
   }
-  if (config.model == UpdateModel::kUpdateOnAccess &&
-      (config.dispatchers > 1 || dispatch::is_jiq_spec(config.policy))) {
+  const bool on_access = config.model == UpdateModel::kUpdateOnAccess;
+  if (on_access && config.dispatchers > 1) {
     throw std::invalid_argument(
-        "ExperimentConfig: the update_on_access model runs its own "
-        "per-client engine: no multiple dispatchers and no JIQ policy");
+        "ExperimentConfig: update_on_access needs dispatchers = 1 (the "
+        "client population is the dispatcher set)");
   }
   if (config.replay == nullptr) {
     workload::validate_arrival_spec(config.arrival_spec);
   }
-  if (config.model == UpdateModel::kUpdateOnAccess &&
+  if (on_access &&
       (config.replay != nullptr || config.arrival_spec != "poisson")) {
     throw std::invalid_argument(
-        "ExperimentConfig: the update_on_access model owns its own client "
-        "arrival processes (--bursty); --arrival-spec and replay apply to "
-        "the board models only");
+        "ExperimentConfig: update_on_access takes no --arrival-spec or "
+        "replay (the per-client gap processes are the arrival process)");
   }
-  if (config.fault.any() && config.model == UpdateModel::kUpdateOnAccess) {
+  if (on_access && config.fault.update_extra_delay > 0.0) {
     throw std::invalid_argument(
-        "ExperimentConfig: fault injection is not supported for the "
-        "update_on_access model (per-client snapshot pulls have no refresh "
-        "stream to degrade)");
+        "ExperimentConfig: update_on_access takes no fault delay= (a late "
+        "reply would need a second per-client buffer)");
   }
   if (config.board_repr == policy::BoardRepr::kBucketed) {
     if (config.fault.any()) {
@@ -104,75 +104,24 @@ void validate(const ExperimentConfig& config) {
           "ExperimentConfig: board_repr=bucketed is incompatible with fault "
           "injection (per-server liveness reshaping needs the vector path)");
     }
-    if (config.model == UpdateModel::kUpdateOnAccess) {
-      throw std::invalid_argument(
-          "ExperimentConfig: board_repr=bucketed is not supported for the "
-          "update_on_access model (per-client snapshots have no shared "
-          "board to bucket)");
-    }
   }
-}
-
-TrialResult run_update_on_access_trial(const ExperimentConfig& config,
-                                       std::uint64_t seed) {
-  sim::Rng rng(seed);
-  queueing::Cluster cluster(config.num_servers, 0.0);
-  const auto policy = policy::make_policy(config.policy);
-  const auto job_size = workload::make_job_size(config.job_size);
-  const double arrival_rate = config.total_rate();
-
-  // Client population sized so the mean per-client gap is the target T; the
-  // gap is then chosen so the aggregate rate is exactly lambda * n despite
-  // the rounding of the client count.
-  const int clients = std::max(
-      1, static_cast<int>(std::llround(arrival_rate * config.update_interval)));
-  const double per_client_gap = static_cast<double>(clients) / arrival_rate;
-
-  workload::ArrivalProcessPtr gaps;
-  if (config.bursty) {
-    gaps = std::make_unique<workload::BurstyProcess>(
-        per_client_gap, config.burst_mean_length,
-        config.burst_within_gap_fraction * per_client_gap);
-  } else {
-    gaps = std::make_unique<workload::PoissonProcess>(1.0 / per_client_gap);
-  }
-
-  // Extend the run so every client launches at least min_jobs_per_client
-  // jobs, scaling the warmup share proportionally (paper Section 5.3).
-  std::uint64_t num_jobs = config.num_jobs;
-  std::uint64_t warmup = config.warmup_jobs;
-  if (config.min_jobs_per_client > 0) {
-    const std::uint64_t needed =
-        config.min_jobs_per_client * static_cast<std::uint64_t>(clients);
-    if (needed > num_jobs) {
-      warmup = needed * warmup / num_jobs;
-      num_jobs = needed;
-    }
-  }
-
-  queueing::ResponseMetrics metrics(warmup, config.keep_response_samples);
-  UpdateOnAccessEngine engine(cluster, *policy, *gaps, *job_size,
-                              config.believed_total_rate(), clients, rng);
-  engine.set_trace_sink(config.trace_sink);
-  double t = 0.0;
-  for (std::uint64_t job = 0; job < num_jobs; ++job) {
-    t = engine.step(metrics);
-  }
-  TrialResult result{.mean_response = metrics.mean_response(),
-                     .measured_jobs = metrics.measured_jobs(),
-                     .total_jobs = metrics.total_jobs(),
-                     .sim_end_time = t};
-  fill_percentiles(metrics, result);
-  return result;
+  const bool continuous = config.model == UpdateModel::kContinuous;
+  const bool delay_default =
+      config.delay_kind == loadinfo::DelayKind::kConstant;
+  require_read(continuous || delay_default, "delay_kind", config,
+               "continuous");
+  require_read(continuous || !config.know_actual_age, "know_actual_age",
+               config, "continuous");
+  require_read(on_access || !config.bursty, "bursty", config,
+               "update_on_access");
+  require_read(on_access || config.min_jobs_per_client == 0,
+               "min_jobs_per_client", config, "update_on_access");
 }
 
 }  // namespace
 
 TrialResult run_trial(const ExperimentConfig& config, std::uint64_t seed) {
   validate(config);
-  if (config.model == UpdateModel::kUpdateOnAccess) {
-    return run_update_on_access_trial(config, seed);
-  }
   return run_multi_dispatcher_trial(config, seed);
 }
 

@@ -41,10 +41,10 @@ struct ExperimentConfig {
   // --- staleness model ---
   UpdateModel model = UpdateModel::kPeriodic;
   double update_interval = 1.0;  // T, in units of mean service time
-  // Continuous model only:
+  // Continuous model only (validate() rejects a non-default value elsewhere):
   loadinfo::DelayKind delay_kind = loadinfo::DelayKind::kConstant;
   bool know_actual_age = false;  // Figure 7 vs Figure 6
-  // Update-on-access only:
+  // Update-on-access only (bursty and min_jobs_per_client likewise):
   bool bursty = false;                       // Figure 9
   double burst_mean_length = 10.0;           // mean requests per burst
   double burst_within_gap_fraction = 0.01;   // within-burst gap = frac * T
@@ -57,8 +57,8 @@ struct ExperimentConfig {
 
   // Board representation on the dispatch path (policy/policy.h). kAuto picks
   // bucketed for clusters of kBucketedAutoThreshold+ servers when the run is
-  // eligible; explicit kBucketed on an ineligible run (fault injection,
-  // update-on-access) is rejected by validation. Representation choice never
+  // eligible; explicit kBucketed on an ineligible run (fault injection) is
+  // rejected by validation. Representation choice never
   // changes per-level dispatch distributions — only the RNG draw sequence
   // (so paired vector/bucketed runs are statistically, not bit-, identical).
   policy::BoardRepr board_repr = policy::BoardRepr::kAuto;
@@ -71,7 +71,8 @@ struct ExperimentConfig {
   // split off the trial stream, and arrivals are thinned across dispatchers.
   // Every board model (periodic/individual/continuous) and both fault
   // injection and churn (each dispatcher earns its own Membership view)
-  // work at any D; update_on_access runs a single per-client engine.
+  // work at any D. update_on_access requires D = 1: its client population
+  // is the dispatcher set.
   int dispatchers = 1;
   dispatch::DispatcherSplit dispatcher_split =
       dispatch::DispatcherSplit::kUniform;
@@ -85,7 +86,8 @@ struct ExperimentConfig {
   // Arrival-process spec (workload/arrival_spec.h): "poisson" (default,
   // bit-identical to the historical inline draw), "mmpp:...", "ramp:...",
   // "flash:...", or "trace:FILE". The base rate is total_rate(), so --lambda
-  // still sets the overall scale. Board models only for non-poisson specs.
+  // still sets the overall scale. Not for update_on_access, whose per-client
+  // gap processes are its arrival process.
   std::string arrival_spec = "poisson";
 
   // Replay of a recorded live run (workload/replay.h), set up by
@@ -98,10 +100,10 @@ struct ExperimentConfig {
   // --- fault injection (src/fault/) ---
   // Default-constructed spec = no faults; the trial engine builds the fault
   // injector only when fault.any() (a fault-free run draws no fault
-  // streams). Works with every board model and any dispatcher count. Not
-  // supported for the update_on_access model (there is no refresh stream to
-  // degrade), the bucketed representation, or churn; validate() rejects
-  // those combinations.
+  // streams). Works with every model and any dispatcher count (under
+  // update_on_access a lost update is a lost reply). Not supported with the
+  // bucketed representation, churn, or update_on_access's delay= (a late
+  // reply would need a second per-client buffer); validate() rejects those.
   fault::FaultSpec fault;
 
   // --- membership churn + health subsystem (src/health/) ---
@@ -168,13 +170,13 @@ struct ExperimentConfig {
   }
 
   // Whether this run dispatches through the bucketed (counted) board path.
-  // Fault runs and update-on-access never do, regardless of board_repr
-  // (validate() rejects an explicit kBucketed request for those). Churn runs
-  // may: the health layer retires quarantined servers from the level index,
-  // so the counted representation stays faithful to the candidate set.
+  // Fault runs never do, regardless of board_repr (validate() rejects an
+  // explicit kBucketed request for those). Churn runs may: the health layer
+  // retires quarantined servers from the level index, so the counted
+  // representation stays faithful to the candidate set.
   bool resolved_bucketed() const {
     if (board_repr == policy::BoardRepr::kVector) return false;
-    if (fault.any() || model == UpdateModel::kUpdateOnAccess) return false;
+    if (fault.any()) return false;
     if (board_repr == policy::BoardRepr::kBucketed) return true;
     return num_servers >= policy::kBucketedAutoThreshold;
   }
@@ -187,8 +189,7 @@ struct TrialResult {
   double sim_end_time = 0.0;
   // Queue-length dispersion at arrival epochs (unbiased by PASTA), sampled
   // after warmup: the herd effect shows up here as an exploding stddev/max
-  // long before the mean queue length moves. Collected by the board-model
-  // trials (periodic/continuous/individual).
+  // long before the mean queue length moves. Collected under every model.
   double mean_queue_stddev = 0.0;
   double mean_queue_max = 0.0;
   double mean_queue_length = 0.0;

@@ -25,7 +25,7 @@ namespace stale::policy {
 //               sampling (level, then uniform server within the level).
 //   kAuto     — bucketed iff the cluster is at least
 //               kBucketedAutoThreshold servers (and the run is eligible:
-//               no fault injection, not update-on-access).
+//               no fault injection).
 // Per-LEVEL dispatch distributions are identical across representations
 // (audited under STALELOAD_AUDIT); RNG draw sequences differ, so paired
 // runs of different representations are not bit-identical.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "driver/cli.h"
@@ -45,23 +46,21 @@ TEST(ExperimentConfigTest, ValidationCatchesBadValues) {
 }
 
 TEST(ExperimentConfigTest, BucketedValidationAndAutoResolution) {
-  // Explicit bucketed + fault injection is rejected; so is update_on_access.
+  // Explicit bucketed + fault injection is rejected.
   ExperimentConfig config = small_config();
   config.board_repr = policy::BoardRepr::kBucketed;
   config.fault.crash_rate = 0.01;
   EXPECT_THROW(run_experiment(config), std::invalid_argument);
 
-  config = small_config();
-  config.board_repr = policy::BoardRepr::kBucketed;
-  config.model = UpdateModel::kUpdateOnAccess;
-  EXPECT_THROW(run_experiment(config), std::invalid_argument);
-
-  // Auto: vector below the threshold, bucketed at/above it, and never for
-  // ineligible runs regardless of size.
+  // Auto: vector below the threshold, bucketed at/above it under every
+  // model, and never for fault runs regardless of size.
   config = small_config();
   EXPECT_FALSE(config.resolved_bucketed());  // default n = 10
   config.num_servers = policy::kBucketedAutoThreshold;
   EXPECT_TRUE(config.resolved_bucketed());
+  config.model = UpdateModel::kUpdateOnAccess;
+  EXPECT_TRUE(config.resolved_bucketed());
+  config.model = UpdateModel::kPeriodic;
   config.fault.crash_rate = 0.01;
   EXPECT_FALSE(config.resolved_bucketed());
   config.fault.crash_rate = 0.0;
@@ -70,6 +69,125 @@ TEST(ExperimentConfigTest, BucketedValidationAndAutoResolution) {
   config.board_repr = policy::BoardRepr::kBucketed;
   config.num_servers = 10;
   EXPECT_TRUE(config.resolved_bucketed());  // explicit request, small n
+}
+
+// Runs `config` and returns validate()'s message, or "" if it ran.
+std::string rejection(const ExperimentConfig& config) {
+  try {
+    run_trial(config, 1);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentConfigTest, RejectsFieldsTheModelDoesNotRead) {
+  // A flag a model ignores would print output byte-identical to the run
+  // without it; validate() names the field and the model instead.
+  struct Case {
+    UpdateModel model;
+    const char* field;
+    void (*set)(ExperimentConfig&);
+  };
+  const Case cases[] = {
+      {UpdateModel::kPeriodic, "bursty",
+       [](ExperimentConfig& c) { c.bursty = true; }},
+      {UpdateModel::kIndividual, "min_jobs_per_client",
+       [](ExperimentConfig& c) { c.min_jobs_per_client = 10; }},
+      {UpdateModel::kPeriodic, "know_actual_age",
+       [](ExperimentConfig& c) { c.know_actual_age = true; }},
+      {UpdateModel::kUpdateOnAccess, "know_actual_age",
+       [](ExperimentConfig& c) { c.know_actual_age = true; }},
+      {UpdateModel::kPeriodic, "delay_kind",
+       [](ExperimentConfig& c) {
+         c.delay_kind = loadinfo::DelayKind::kExponential;
+       }},
+      {UpdateModel::kUpdateOnAccess, "delay_kind",
+       [](ExperimentConfig& c) {
+         c.delay_kind = loadinfo::DelayKind::kUniformFull;
+       }},
+      {UpdateModel::kContinuous, "bursty",
+       [](ExperimentConfig& c) { c.bursty = true; }},
+  };
+  for (const Case& c : cases) {
+    ExperimentConfig config = small_config();
+    config.num_jobs = 2'000;
+    config.warmup_jobs = 500;
+    config.model = c.model;
+    const std::string model = update_model_name(c.model);
+    EXPECT_EQ(rejection(config), "") << model;
+    c.set(config);
+    const std::string message = rejection(config);
+    EXPECT_NE(message.find(c.field), std::string::npos) << message;
+    EXPECT_NE(message.find(model), std::string::npos) << message;
+  }
+  // Each field is accepted on the model that reads it.
+  ExperimentConfig config = small_config();
+  config.num_jobs = 2'000;
+  config.warmup_jobs = 500;
+  config.model = UpdateModel::kContinuous;
+  config.know_actual_age = true;
+  config.delay_kind = loadinfo::DelayKind::kExponential;
+  EXPECT_EQ(rejection(config), "");
+  config = small_config();
+  config.num_jobs = 2'000;
+  config.warmup_jobs = 500;
+  config.model = UpdateModel::kUpdateOnAccess;
+  config.bursty = true;
+  config.min_jobs_per_client = 10;
+  EXPECT_EQ(rejection(config), "");
+}
+
+TEST(ExperimentConfigTest, UpdateOnAccessRejectsWhatItCannotExpress) {
+  ExperimentConfig config = small_config();
+  config.num_jobs = 2'000;
+  config.warmup_jobs = 500;
+  config.model = UpdateModel::kUpdateOnAccess;
+  ExperimentConfig bad = config;
+  bad.dispatchers = 2;
+  EXPECT_NE(rejection(bad).find("client population"), std::string::npos);
+  bad = config;
+  bad.arrival_spec = "mmpp:0.5:3:20:5";
+  EXPECT_NE(rejection(bad).find("gap processes"), std::string::npos);
+  bad = config;
+  bad.fault = fault::FaultSpec::parse("loss=0.1,delay=0.5");
+  EXPECT_NE(rejection(bad).find("late reply"), std::string::npos);
+  bad = config;
+  bad.churn = health::ChurnSpec::parse("restart=6");
+  EXPECT_NE(rejection(bad).find("report"), std::string::npos);
+}
+
+TEST(UpdateOnAccessTest, RunsBucketedAtScale) {
+  // n = 2048 resolves to the bucketed path under auto; each request's level
+  // index is built from its client's snapshot.
+  ExperimentConfig config = small_config();
+  config.model = UpdateModel::kUpdateOnAccess;
+  config.num_servers = 2048;
+  config.update_interval = 0.5;  // 922 clients
+  config.num_jobs = 6'000;
+  config.warmup_jobs = 2'000;
+  ASSERT_TRUE(config.resolved_bucketed());
+  const TrialResult result = run_trial(config, 21);
+  EXPECT_GT(result.mean_response, 0.9);
+  EXPECT_LT(result.mean_response, 3.0);
+  EXPECT_EQ(result.measured_jobs, 4'000u);
+  EXPECT_GT(result.mean_queue_length, 0.0);
+}
+
+TEST(UpdateOnAccessTest, RateEstimatorIsHonoured) {
+  ExperimentConfig config = small_config();
+  config.model = UpdateModel::kUpdateOnAccess;
+  config.num_servers = 20;
+  config.update_interval = 8.0;
+  config.num_jobs = 8'000;
+  config.warmup_jobs = 2'000;
+  const double told = run_trial(config, 7).mean_response;
+  for (const char* estimator : {"conservative", "ewma:20"}) {
+    config.rate_estimator = estimator;
+    EXPECT_NE(run_trial(config, 7).mean_response, told) << estimator;
+  }
+  config.fault = fault::FaultSpec::parse("estdrop=0.3");
+  EXPECT_GT(run_trial(config, 7).faults.estimator_drops, 0u);
 }
 
 TEST(RunTrialTest, BucketedAndVectorReprsBothRunSmallClusters) {

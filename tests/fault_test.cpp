@@ -523,9 +523,32 @@ TEST(FaultTrialTest, AllBoardModelsSurviveHeavyFaults) {
   }
 }
 
-TEST(FaultTrialTest, UpdateOnAccessRejectsFaults) {
-  const auto config =
-      fault_config(driver::UpdateModel::kUpdateOnAccess, "loss=0.1");
+TEST(FaultTrialTest, UpdateOnAccessCountsCrashesAndRequeues) {
+  const auto config = fault_config(driver::UpdateModel::kUpdateOnAccess,
+                                   "crash=0.02,down=3,semantics=requeue");
+  const driver::ExperimentResult result = driver::run_experiment(config);
+  EXPECT_TRUE(std::isfinite(result.mean()));
+  EXPECT_GT(result.faults.crashes, 0u);
+  EXPECT_GT(result.faults.jobs_requeued, 0u);
+  EXPECT_EQ(result.faults.jobs_lost, 0u);
+}
+
+TEST(FaultTrialTest, UpdateOnAccessDegradesRepliesAndTheEstimator) {
+  // Lost replies leave clients on older snapshots (the cutoff then falls
+  // back), lost jobs are counted, and estimator dropout reaches the
+  // engine's estimator; delay= stays rejected (a late reply would need a
+  // second per-client buffer).
+  auto config = fault_config(
+      driver::UpdateModel::kUpdateOnAccess,
+      "crash=0.02,down=3,semantics=lost,loss=0.6,estdrop=0.3,cutoff=1T");
+  config.rate_estimator = "ewma:50";
+  const driver::ExperimentResult result = driver::run_experiment(config);
+  EXPECT_TRUE(std::isfinite(result.mean()));
+  EXPECT_GT(result.faults.jobs_lost, 0u);
+  EXPECT_GT(result.faults.updates_lost, 0u);
+  EXPECT_GT(result.faults.stale_fallbacks, 0u);
+  EXPECT_GT(result.faults.estimator_drops, 0u);
+  config.fault = FaultSpec::parse("loss=0.1,delay=0.5");
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI contract for the seven user-facing binaries: --help exits 0 with usage
-# on stdout, and one malformed numeric flag exits nonzero with an error on
-# stderr that names the flag.
+# on stdout, one malformed numeric flag exits nonzero with an error on
+# stderr that names the flag, and staleload_sim refuses model-only flags on
+# a model that does not read them.
 #
 #   tools/ci_cli_contract.sh build/tools
 set -u
@@ -41,6 +42,30 @@ bad staleload_loadgen --max-jobs --target 127.0.0.1:9 --max-jobs -1
 bad playdiff --tol-response --tol-response 10x a.json b.json
 bad plot_sweep --width --width 10x
 bad bench_diff --max-regress --max-regress 10x a.json b.json
+
+# rejected FIELD ARGS...: staleload_sim must refuse a flag that its --model
+# does not read (the run would print output identical to the run without
+# it): exit 1 with an error: line that names FIELD.
+rejected() {
+  local field="$1"
+  shift
+  "$BIN/staleload_sim" "$@" < /dev/null > /dev/null 2> "$ERR"
+  local status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "FAIL: staleload_sim $* exited $status, not 1"
+    failures=$((failures + 1))
+  elif ! grep -q "error:.*$field" "$ERR"; then
+    echo "FAIL: staleload_sim $*: no error naming $field: $(cat "$ERR")"
+    failures=$((failures + 1))
+  else
+    echo "ok:   staleload_sim $* -> $(head -n 1 "$ERR")"
+  fi
+}
+rejected bursty --model periodic --bursty
+rejected know_actual_age --model periodic --know-age
+rejected know_actual_age --model update_on_access --know-age
+rejected delay_kind --model periodic --delay exponential
+rejected delay_kind --model update_on_access --delay exponential
 
 if [ "$failures" -gt 0 ]; then
   echo "$failures CLI contract check(s) failed"

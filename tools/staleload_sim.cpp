@@ -8,7 +8,9 @@
 // --help lists every flag, from the same table the parser uses. Beyond the
 // one-line help:
 //   --board-repr auto switches to the O(#levels) bucketed board at 1024+
-//     servers on eligible runs (no faults, not update_on_access).
+//     servers on eligible runs (no faults).
+//   --bursty (update_on_access) and --delay/--know-age (continuous) are
+//     model-only: any other --model rejects them.
 //   --workload replay:DIR replays a `staleload_lb --record DIR` directory and
 //     takes n, T, model, jobs and lambda from its manifest.
 //   --estimator speaks the grammar staleload_lb --estimator shares
