@@ -8,21 +8,23 @@
 namespace stale::queueing {
 
 LoadImbalanceStats::LoadImbalanceStats(std::uint64_t stride)
-    : stride_(stride) {
+    : stride_(stride), until_sample_(stride) {
   if (stride == 0) {
     throw std::invalid_argument("LoadImbalanceStats: stride must be >= 1");
   }
 }
 
 void LoadImbalanceStats::observe(std::span<const int> loads) {
-  STALE_DCHECK(stride_ >= 1);
-  if (++calls_ % stride_ != 0) return;
+  STALE_DCHECK(until_sample_ >= 1 && until_sample_ <= stride_);
+  if (--until_sample_ != 0) return;
+  until_sample_ = stride_;
   take_sample(loads);
 }
 
 void LoadImbalanceStats::observe(const sim::LevelHistogram& histogram) {
-  STALE_DCHECK(stride_ >= 1);
-  if (++calls_ % stride_ != 0) return;
+  STALE_DCHECK(until_sample_ >= 1 && until_sample_ <= stride_);
+  if (--until_sample_ != 0) return;
+  until_sample_ = stride_;
   take_sample(histogram);
 }
 
@@ -42,28 +44,26 @@ void LoadImbalanceStats::take_sample(std::span<const int> loads) {
   // The max of a set always dominates its mean; a violation means the
   // accumulators drifted.
   STALE_DCHECK(static_cast<double>(max) >= mean);
-  stddevs_.add(std::sqrt(variance > 0.0 ? variance : 0.0));
-  maxima_.add(static_cast<double>(max));
-  means_.add(mean);
-  ++snapshots_;
+  add_sample(std::sqrt(variance > 0.0 ? variance : 0.0),
+             static_cast<double>(max), mean);
 }
 
 void LoadImbalanceStats::take_sample(const sim::LevelHistogram& histogram) {
   if (histogram.empty()) return;
   STALE_DCHECK(histogram.stddev() >= 0.0 &&
                histogram.max_level() >= histogram.min_level());
-  stddevs_.add(histogram.stddev());
-  maxima_.add(static_cast<double>(histogram.max_level()));
-  means_.add(histogram.mean());
-  ++snapshots_;
+  add_sample(histogram.stddev(), static_cast<double>(histogram.max_level()),
+             histogram.mean());
 }
 
-double LoadImbalanceStats::mean_within_snapshot_stddev() const {
-  return stddevs_.mean();
+void LoadImbalanceStats::add_sample(double stddev, double max, double mean) {
+  // The running-mean step of sim::RunningStats::add, the only summary these
+  // statistics report, so the results equal RunningStats::mean() bit for bit.
+  STALE_DCHECK(!std::isnan(stddev) && !std::isnan(max) && !std::isnan(mean));
+  const double k = static_cast<double>(++snapshots_);
+  mean_stddev_ += (stddev - mean_stddev_) / k;
+  mean_max_ += (max - mean_max_) / k;
+  mean_length_ += (mean - mean_length_) / k;
 }
-
-double LoadImbalanceStats::mean_snapshot_max() const { return maxima_.mean(); }
-
-double LoadImbalanceStats::mean_queue_length() const { return means_.mean(); }
 
 }  // namespace stale::queueing

@@ -10,7 +10,6 @@
 #include <span>
 
 #include "sim/level_histogram.h"
-#include "sim/stats.h"
 
 namespace stale::queueing {
 
@@ -31,21 +30,22 @@ class LoadImbalanceStats {
   // Across all sampled snapshots: the within-snapshot standard deviation of
   // queue lengths (averaged), the mean per-snapshot maximum, and the mean
   // queue length.
-  double mean_within_snapshot_stddev() const;
-  double mean_snapshot_max() const;
-  double mean_queue_length() const;
+  double mean_within_snapshot_stddev() const { return mean_stddev_; }
+  double mean_snapshot_max() const { return mean_max_; }
+  double mean_queue_length() const { return mean_length_; }
   std::uint64_t snapshots() const { return snapshots_; }
 
  private:
   void take_sample(std::span<const int> loads);
   void take_sample(const sim::LevelHistogram& histogram);
+  void add_sample(double stddev, double max, double mean);
 
   std::uint64_t stride_;
-  std::uint64_t calls_ = 0;
+  std::uint64_t until_sample_;  // observe() calls left to the next sample
   std::uint64_t snapshots_ = 0;
-  sim::RunningStats stddevs_;
-  sim::RunningStats maxima_;
-  sim::RunningStats means_;
+  double mean_stddev_ = 0.0;
+  double mean_max_ = 0.0;
+  double mean_length_ = 0.0;
 };
 
 }  // namespace stale::queueing

@@ -1,6 +1,5 @@
 #include "sim/level_histogram.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "check/contracts.h"
@@ -71,20 +70,6 @@ std::int64_t LevelHistogram::count_at_or_below(int level) const {
     below += counts_[static_cast<std::size_t>(l)];
   }
   return below;
-}
-
-double LevelHistogram::mean() const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(level_sum_) / static_cast<double>(total_);
-}
-
-double LevelHistogram::stddev() const {
-  if (total_ == 0) return 0.0;
-  const double n = static_cast<double>(total_);
-  const double mean_value = static_cast<double>(level_sum_) / n;
-  const double variance =
-      static_cast<double>(level_sq_sum_) / n - mean_value * mean_value;
-  return std::sqrt(variance > 0.0 ? variance : 0.0);
 }
 
 void LevelIndex::build(std::span<const int> loads) {

@@ -19,6 +19,7 @@
 // no host state); picks draw only from sim::Rng.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,8 +72,18 @@ class LevelHistogram {
 
   // Population mean / stddev over members. Computed from the exact integer
   // sums, so they equal (bit for bit) the same formulas over the raw vector.
-  double mean() const;
-  double stddev() const;
+  double mean() const {
+    if (total_ == 0) return 0.0;
+    return static_cast<double>(level_sum_) / static_cast<double>(total_);
+  }
+  double stddev() const {
+    if (total_ == 0) return 0.0;
+    const double n = static_cast<double>(total_);
+    const double mean_value = static_cast<double>(level_sum_) / n;
+    const double variance =
+        static_cast<double>(level_sq_sum_) / n - mean_value * mean_value;
+    return std::sqrt(variance > 0.0 ? variance : 0.0);
+  }
 
  private:
   std::vector<std::int64_t> counts_;  // counts_[level], dense from 0
