@@ -16,8 +16,6 @@ int main(int argc, char** argv) {
         base.lambda = 0.9;
         base.model = stale::driver::UpdateModel::kUpdateOnAccess;
         base.bursty = true;
-        base.burst_mean_length = 10.0;
-        base.burst_within_gap_fraction = 0.01;
         cli.apply_run_scale(base);
         base.min_jobs_per_client = cli.has("paper") ? 1000 : 100;
 

@@ -62,6 +62,7 @@ DispatcherSet::DispatcherSet(int num_dispatchers, int num_servers,
                              double update_interval, bool use_individual,
                              sim::Rng& rng)
     : size_(num_dispatchers),
+      num_servers_(num_servers),
       model_(use_individual ? Model::kIndividual : Model::kPeriodic),
       update_interval_(update_interval) {
   if (num_dispatchers < 1) {
@@ -90,6 +91,7 @@ DispatcherSet::DispatcherSet(int num_dispatchers, int num_servers,
 
 DispatcherSet::DispatcherSet(loadinfo::ClientSnapshots clients)
     : size_(1),
+      num_servers_(static_cast<int>(clients.loads().size())),
       model_(Model::kOnAccess),
       update_interval_(0.0),
       clients_(std::move(clients)) {}
@@ -118,10 +120,10 @@ const sim::LevelIndex& DispatcherSet::level_index(int d) const {
 
 sim::LevelIndex& DispatcherSet::level_index_mut(int d) {
   const auto i = static_cast<std::size_t>(d);
-  if (model_ == Model::kIndividual) return individual_[i].level_index_mut();
-  if (model_ == Model::kPeriodic) return periodic_[i].level_index_mut();
-  throw std::logic_error(
-      "DispatcherSet::level_index_mut: only periodic and individual boards");
+  if (model_ == Model::kOnAccess) return clients_->level_index_mut();
+  if (model_ == Model::kContinuous) return views_[i].level_index_mut();
+  return model_ == Model::kIndividual ? individual_[i].level_index_mut()
+                                      : periodic_[i].level_index_mut();
 }
 
 double DispatcherSet::next_refresh(std::size_t d) const {
@@ -185,7 +187,9 @@ void DispatcherSet::enable_level_index() {
   for (loadinfo::IndividualBoard& board : individual_) {
     board.enable_level_index();
   }
-  for (loadinfo::ContinuousView& view : views_) view.enable_level_index();
+  for (loadinfo::ContinuousView& view : views_) {
+    view.enable_level_index(num_servers_);
+  }
   if (clients_) clients_->enable_level_index();
 }
 

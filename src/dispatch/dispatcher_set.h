@@ -118,7 +118,8 @@ class DispatcherSet {
                                         : periodic_[i].version();
   }
   const sim::LevelIndex& level_index(int d) const;
-  // Board models only (the health layer's quarantine bookkeeping).
+  // The same index, for liveness bookkeeping (retire/readmit). Every model's
+  // rebuild keeps the retirement mask.
   sim::LevelIndex& level_index_mut(int d);
 
   // Brings every active board up to date for an observation at `t`,
@@ -149,6 +150,7 @@ class DispatcherSet {
                       loadinfo::RefreshFaults* faults);
 
   int size_;
+  int num_servers_;
   Model model_;
   double update_interval_;
   std::vector<loadinfo::PeriodicBoard> periodic_;

@@ -117,23 +117,6 @@ void Cli::apply_run_scale(ExperimentConfig& config) const {
   if (has("churn-spec")) {
     config.churn = health::ChurnSpec::parse(get("churn-spec", ""));
   }
-  // Surface the flag-level conflicts here, where the message can name the
-  // offending flags rather than config fields.
-  if (config.board_repr == policy::BoardRepr::kBucketed &&
-      config.fault.any()) {
-    throw std::invalid_argument(
-        "--board-repr bucketed cannot be combined with --fault-spec "
-        "(or --crash-rate/--update-loss/--max-staleness): fault injection "
-        "reshapes probabilities per server, which the bucketed "
-        "representation cannot express — drop one of the two flags, or use "
-        "--churn-spec, whose health layer keeps the bucketed path eligible");
-  }
-  if (config.churn.any() && config.fault.any()) {
-    throw std::invalid_argument(
-        "--churn-spec and --fault-spec are mutually exclusive (the "
-        "fault path hands the dispatcher ground-truth liveness; the churn "
-        "path makes it earn one through the health subsystem)");
-  }
 }
 
 void Cli::apply_faults(ExperimentConfig& config) const {

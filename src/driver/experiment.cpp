@@ -37,6 +37,19 @@ void require_read(bool read, const char* field, const ExperimentConfig& config,
                               " model (only " + reader + " reads it)");
 }
 
+// The first fault-spec key that describes the liveness process or its retry
+// path (crash, down, semantics, retries, backoff) set away from its default,
+// or null when none is.
+const char* liveness_key_set(const fault::FaultSpec& spec) {
+  const fault::FaultSpec defaults;
+  if (spec.crash_rate != defaults.crash_rate) return "crash";
+  if (spec.mean_downtime != defaults.mean_downtime) return "down";
+  if (spec.semantics != defaults.semantics) return "semantics";
+  if (spec.max_retries != defaults.max_retries) return "retries";
+  if (spec.retry_backoff != defaults.retry_backoff) return "backoff";
+  return nullptr;
+}
+
 void validate(const ExperimentConfig& config) {
   if (config.num_servers < 1) {
     throw std::invalid_argument("ExperimentConfig: num_servers must be >= 1");
@@ -56,12 +69,13 @@ void validate(const ExperimentConfig& config) {
   config.fault.validate();
   config.churn.validate();
   if (config.churn.any()) {
-    if (config.fault.any()) {
+    if (const char* key = liveness_key_set(config.fault)) {
       throw std::invalid_argument(
-          "ExperimentConfig: churn and fault injection are mutually "
-          "exclusive (the fault path hands the dispatcher ground-truth "
-          "liveness; the churn path makes it earn one through the health "
-          "subsystem)");
+          std::string("ExperimentConfig: with churn on, the fault spec may "
+                      "not set '") +
+          key +
+          "' (the churn spec owns the liveness process and its retry "
+          "path: use its leave/rejoin, semantics, retries and backoff)");
     }
     if (config.model != UpdateModel::kPeriodic &&
         config.model != UpdateModel::kIndividual) {
@@ -97,13 +111,6 @@ void validate(const ExperimentConfig& config) {
     throw std::invalid_argument(
         "ExperimentConfig: update_on_access takes no fault delay= (a late "
         "reply would need a second per-client buffer)");
-  }
-  if (config.board_repr == policy::BoardRepr::kBucketed) {
-    if (config.fault.any()) {
-      throw std::invalid_argument(
-          "ExperimentConfig: board_repr=bucketed is incompatible with fault "
-          "injection (per-server liveness reshaping needs the vector path)");
-    }
   }
   const bool continuous = config.model == UpdateModel::kContinuous;
   const bool delay_default =

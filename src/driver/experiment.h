@@ -45,9 +45,7 @@ struct ExperimentConfig {
   loadinfo::DelayKind delay_kind = loadinfo::DelayKind::kConstant;
   bool know_actual_age = false;  // Figure 7 vs Figure 6
   // Update-on-access only (bursty and min_jobs_per_client likewise):
-  bool bursty = false;                       // Figure 9
-  double burst_mean_length = 10.0;           // mean requests per burst
-  double burst_within_gap_fraction = 0.01;   // within-burst gap = frac * T
+  bool bursty = false;  // Figure 9 (burst shape: driver/trial_workload.cpp)
   // Minimum jobs each client must launch; the run is extended if needed
   // (paper: "each client launches at least 1,000 jobs"). 0 disables.
   std::uint64_t min_jobs_per_client = 0;
@@ -56,11 +54,10 @@ struct ExperimentConfig {
   std::string policy = "basic_li";  // see policy/policy_factory.h
 
   // Board representation on the dispatch path (policy/policy.h). kAuto picks
-  // bucketed for clusters of kBucketedAutoThreshold+ servers when the run is
-  // eligible; explicit kBucketed on an ineligible run (fault injection) is
-  // rejected by validation. Representation choice never
-  // changes per-level dispatch distributions — only the RNG draw sequence
-  // (so paired vector/bucketed runs are statistically, not bit-, identical).
+  // bucketed for clusters of kBucketedAutoThreshold+ servers, under every
+  // model, fault spec and churn spec. Representation choice never changes
+  // per-level dispatch distributions — only the RNG draw sequence (so
+  // paired vector/bucketed runs are statistically, not bit-, identical).
   policy::BoardRepr board_repr = policy::BoardRepr::kAuto;
 
   // --- multi-dispatcher scale-out (src/dispatch/) ---
@@ -69,10 +66,10 @@ struct ExperimentConfig {
   // own board instance (periodic boards de-phased by d*T/D, individual
   // boards independently offset) or continuous view and its own RNG stream
   // split off the trial stream, and arrivals are thinned across dispatchers.
-  // Every board model (periodic/individual/continuous) and both fault
-  // injection and churn (each dispatcher earns its own Membership view)
-  // work at any D. update_on_access requires D = 1: its client population
-  // is the dispatcher set.
+  // Every board model (periodic/individual/continuous), fault injection
+  // and churn (each dispatcher earns its own Membership view) work at any
+  // D. update_on_access requires D = 1: its client population is the
+  // dispatcher set.
   int dispatchers = 1;
   dispatch::DispatcherSplit dispatcher_split =
       dispatch::DispatcherSplit::kUniform;
@@ -98,22 +95,26 @@ struct ExperimentConfig {
   std::shared_ptr<const workload::ReplayTrace> replay;
 
   // --- fault injection (src/fault/) ---
-  // Default-constructed spec = no faults; the trial engine builds the fault
-  // injector only when fault.any() (a fault-free run draws no fault
-  // streams). Works with every model and any dispatcher count (under
-  // update_on_access a lost update is a lost reply). Not supported with the
-  // bucketed representation, churn, or update_on_access's delay= (a late
-  // reply would need a second per-client buffer); validate() rejects those.
+  // Default-constructed spec = no faults; the trial engine splits the fault
+  // streams only when fault.any() (a fault-free run draws none). The crash
+  // keys (crash, down, semantics) configure the trial's one liveness
+  // process (health::ChurnSpec::from_crash_faults), whose ground-truth mask
+  // every dispatcher is handed. Works with every model, either board
+  // representation and any dispatcher count (under update_on_access a lost
+  // update is a lost reply); validate() rejects update_on_access's delay= (a
+  // late reply would need a second per-client buffer).
   fault::FaultSpec fault;
 
   // --- membership churn + health subsystem (src/health/) ---
-  // Default-constructed spec = no churn; the trial engine builds the churn
-  // injector and the per-dispatcher Membership views only when churn.any().
-  // Mutually exclusive with fault injection (the fault path hands the
-  // dispatcher ground-truth liveness; the churn path makes it earn a view
-  // through the Membership state machine). Periodic and individual boards
-  // only: the continuous and update_on_access models have no per-server
-  // report stream for the health layer to watch.
+  // Default-constructed spec = no churn; the trial engine builds the
+  // per-dispatcher Membership views only when churn.any(). The churn spec
+  // then owns the liveness process and the retry path, so the fault spec
+  // may not set crash, down, semantics, retries or backoff (validate()
+  // names the key); loss, delay, estdrop and cutoff combine with churn.
+  // Each dispatcher earns its liveness view through the Membership state
+  // machine. Periodic and individual boards only: the continuous and
+  // update_on_access models have no per-server report stream for the
+  // health layer to watch.
   health::ChurnSpec churn;
 
   // --- arrival-rate knowledge (Figures 12-13) ---
@@ -170,13 +171,11 @@ struct ExperimentConfig {
   }
 
   // Whether this run dispatches through the bucketed (counted) board path.
-  // Fault runs never do, regardless of board_repr (validate() rejects an
-  // explicit kBucketed request for those). Churn runs may: the health layer
-  // retires quarantined servers from the level index, so the counted
-  // representation stays faithful to the candidate set.
+  // Fault and churn runs resolve like any other: the engine retires every
+  // server a dispatcher believes down from its level index, so the counted
+  // representation stays faithful to the liveness mask.
   bool resolved_bucketed() const {
     if (board_repr == policy::BoardRepr::kVector) return false;
-    if (fault.any()) return false;
     if (board_repr == policy::BoardRepr::kBucketed) return true;
     return num_servers >= policy::kBucketedAutoThreshold;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -25,32 +24,6 @@
 namespace stale::driver {
 
 namespace {
-
-// The ground truth of an injected run: at most one of a fault injector
-// (crash/recovery, refresh loss and delay, estimator dropout) or a churn
-// injector (rolling restarts, leave/rejoin), behind the calls they share.
-struct GroundTruth {
-  std::optional<fault::FaultInjector> fault;
-  std::optional<health::ChurnInjector> churn;
-
-  double next_transition_time() const {
-    if (fault) return fault->next_transition_time();
-    if (churn) return churn->next_transition_time();
-    return std::numeric_limits<double>::infinity();
-  }
-  void advance_to(queueing::Cluster& cluster, double t,
-                  const fault::FaultInjector::RequeueFn& requeue) {
-    if (fault) fault->advance_to(cluster, t, requeue);
-    if (churn) churn->advance_to(cluster, t, requeue);
-  }
-  std::span<const std::uint8_t> up() const {
-    return fault ? fault->alive() : churn->up();
-  }
-  int up_count() const {
-    return fault ? fault->alive_count() : churn->up_count();
-  }
-  fault::FaultStats& stats() { return fault ? fault->stats() : churn->stats(); }
-};
 
 // Fills the percentile fields of `result` from retained samples, if any.
 void fill_percentiles(const queueing::ResponseMetrics& metrics,
@@ -75,8 +48,9 @@ void fill_percentiles(const queueing::ResponseMetrics& metrics,
 //     policy, the continuous view and the retry re-picks draw from the trial
 //     stream);
 //   * one token stream split off only for JIQ;
-//   * the injector's private streams (four for faults, one for churn) split
-//     off only when faults or churn are on;
+//   * the liveness process's one stream split off only when faults or churn
+//     are on, then the fault injector's three (loss, delay, estimator) only
+//     when faults are on;
 //   * the dispatcher-assignment draw happens only when D > 1.
 // Arrival gaps, job sizes and requeue targets draw from the trial stream.
 // Under update-on-access the first arrival draws every client's first gap in
@@ -97,11 +71,11 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   // Injected runs record responses at completion (a crash invalidates the
   // departure computed at dispatch); JIQ needs completions to detect idling.
   const bool tracking = jiq || injected;
-  const health::ChurnSpec& cspec = config.churn;
-  const int max_retries =
-      churn ? cspec.max_retries : config.fault.max_retries;
-  const double retry_backoff =
-      churn ? cspec.retry_backoff : config.fault.retry_backoff;
+  // The one liveness process: the churn spec under churn, otherwise the
+  // crash process the fault spec's crash keys describe (transition-free
+  // when crash= is unset). Its spec also owns the retry path.
+  const health::ChurnSpec liveness_spec =
+      churn ? config.churn : health::ChurnSpec::from_crash_faults(config.fault);
 
   sim::Rng rng(seed);
 
@@ -110,11 +84,9 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   // cluster keeps a history window, widened so fault-stretched delays still
   // resolve exactly (the 40-mean-delays quantile of history_window_for).
   std::vector<double> rates(n, 1.0);
-  if (churn) {
-    const int slow = std::min(cspec.slow, config.num_servers);
-    for (int s = config.num_servers - slow; s < config.num_servers; ++s) {
-      rates[static_cast<std::size_t>(s)] = cspec.slow_factor;
-    }
+  const int slow = std::min(liveness_spec.slow, config.num_servers);
+  for (int s = config.num_servers - slow; s < config.num_servers; ++s) {
+    rates[static_cast<std::size_t>(s)] = liveness_spec.slow_factor;
   }
   const double extra_allowance =
       continuous ? 40.0 * config.fault.update_extra_delay : 0.0;
@@ -147,7 +119,9 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     } else {
       policies.push_back(policy::make_policy(config.policy));
     }
-    if (churn) fallbacks.push_back(policy::make_policy(cspec.fallback_policy));
+    if (churn) {
+      fallbacks.push_back(policy::make_policy(config.churn.fallback_policy));
+    }
   }
 
   // Each trial builds its own estimator: rate buckets are per-trial state.
@@ -187,16 +161,17 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
 
   // The injectors split their streams off `rng` at construction, so they
   // exist only when their spec is on — a plain run must not consume them.
-  GroundTruth truth;
-  if (faults) truth.fault.emplace(config.fault, config.num_servers, rng);
-  if (churn) truth.churn.emplace(cspec, config.num_servers, rng);
+  // The liveness process splits first, where the crash stream always was.
+  std::optional<health::ChurnInjector> liveness;
+  std::optional<fault::FaultInjector> fault_injector;
+  if (injected) liveness.emplace(liveness_spec, config.num_servers, rng);
+  if (faults) fault_injector.emplace(config.fault, rng);
   fault::FaultStats no_injection_stats;
-  fault::FaultStats& stats = injected ? truth.stats() : no_injection_stats;
-  // Faults hand every dispatcher the ground-truth liveness mask and degrade
-  // the board through the injector's refresh faults; the staleness cutoff
-  // wraps each dispatcher's policy.
+  fault::FaultStats& stats = injected ? liveness->stats() : no_injection_stats;
+  // Faults degrade the board through the injector's refresh faults; the
+  // staleness cutoff wraps each dispatcher's policy.
   loadinfo::RefreshFaults* const refresh_faults =
-      faults ? &*truth.fault : nullptr;
+      fault_injector ? &*fault_injector : nullptr;
   if (faults) {
     for (policy::PolicyPtr& policy : policies) {
       policy = fault::harden_policy(std::move(policy), config.fault,
@@ -210,18 +185,27 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   // servers).
   std::vector<health::Membership> memberships;
   std::vector<std::uint64_t> last_versions;
-  std::vector<std::uint64_t> reconciled_at;
   if (churn) {
     memberships.reserve(static_cast<std::size_t>(D));
     last_versions.assign(static_cast<std::size_t>(D), 0);
-    reconciled_at.assign(static_cast<std::size_t>(D), 0);
     for (int d = 0; d < D; ++d) {
-      memberships.emplace_back(config.num_servers,
-                               cspec.resolved_health(config.update_interval),
-                               0.0, trace);
+      memberships.emplace_back(
+          config.num_servers,
+          config.churn.resolved_health(config.update_interval), 0.0, trace);
       last_versions[static_cast<std::size_t>(d)] = boards.version(d);
     }
   }
+
+  // What dispatcher d believes is up, and how many times that belief has
+  // changed: under churn its earned Membership view, otherwise the ground
+  // truth (faults hand every dispatcher the liveness process's mask).
+  const auto believed_up = [&](std::size_t d) {
+    return churn ? memberships[d].candidates() : liveness->up();
+  };
+  const auto liveness_changes = [&](std::size_t d) {
+    return churn ? memberships[d].transition_count()
+                 : liveness->transition_count();
+  };
 
   // JIQ: an empty cluster starts with every server idle, so every server
   // queues its initial token (in server order — the live system's HELLO
@@ -239,10 +223,10 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   std::vector<queueing::CompletedJob> done;
 
   // Requeue targets are uniform over the servers actually up at the crash.
-  const fault::FaultInjector::RequeueFn requeue =
+  const health::ChurnInjector::RequeueFn requeue =
       [&](double when, const queueing::DisplacedJob& job) -> bool {
-    if (truth.up_count() == 0) return false;
-    const int target = policy::pick_uniform_alive(truth.up(), n, rng);
+    if (liveness->up_count() == 0) return false;
+    const int target = policy::pick_uniform_alive(liveness->up(), n, rng);
     cluster.assign_tagged(when, target, job.size, job.tag, job.born);
     // The requeued job lands on the target whether or not it was idle; its
     // token (if queued anywhere) no longer means "idle".
@@ -256,7 +240,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   // probe budget here too, on the same deterministic schedule.
   const auto note_reports = [&](int d, double when) {
     health::Membership& membership = memberships[static_cast<std::size_t>(d)];
-    const std::span<const std::uint8_t> up = truth.up();
+    const std::span<const std::uint8_t> up = liveness->up();
     for (std::size_t i = 0; i < n; ++i) {
       if (up[i] != 0) {
         membership.note_report(static_cast<int>(i), when);
@@ -293,21 +277,20 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
   };
 
-  // Reconciles dispatcher d's level index with its candidate mask after
-  // membership transitions: quarantined servers are retired (their level
+  // Reconciles dispatcher d's level index with what it believes is up,
+  // after liveness changes: servers believed down are retired (their level
   // counts leave the histogram), returners are readmitted at their last
   // known level.
-  const auto reconcile_levels = [&](int d, double when) {
-    health::Membership& membership = memberships[static_cast<std::size_t>(d)];
-    membership.advance(when);
-    if (!bucketed ||
-        membership.transition_count() ==
-            reconciled_at[static_cast<std::size_t>(d)]) {
-      return;
-    }
-    reconciled_at[static_cast<std::size_t>(d)] = membership.transition_count();
+  std::vector<std::uint64_t> reconciled_at;
+  if (injected && bucketed) {
+    reconciled_at.assign(static_cast<std::size_t>(D), 0);
+  }
+  const auto reconcile_levels = [&](int d) {
+    const auto di = static_cast<std::size_t>(d);
+    if (liveness_changes(di) == reconciled_at[di]) return;
+    reconciled_at[di] = liveness_changes(di);
     sim::LevelIndex& index = boards.level_index_mut(d);
-    const std::span<const std::uint8_t> candidates = membership.candidates();
+    const std::span<const std::uint8_t> candidates = believed_up(di);
     for (std::size_t i = 0; i < n; ++i) {
       const bool candidate = candidates[i] != 0;
       if (!candidate && !index.retired(static_cast<int>(i))) {
@@ -334,17 +317,20 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
       // time order: a board boundary before a crash must measure the
       // pre-crash cluster (at a tie the measurement wins — the last report
       // escapes just before the server dies).
-      while (truth.next_transition_time() <= t) {
-        const double when = truth.next_transition_time();
+      while (liveness->next_transition_time() <= t) {
+        const double when = liveness->next_transition_time();
         sync_boards_to(when);
-        truth.advance_to(cluster, when, requeue);
+        liveness->advance_to(cluster, when, requeue);
         invalidate_dead_tokens();
       }
     }
     sync_boards_to(t);
     if (churn) {
-      for (int d = 0; d < D; ++d) reconcile_levels(d, t);
+      for (health::Membership& membership : memberships) membership.advance(t);
       invalidate_dead_tokens();
+    }
+    if (injected && bucketed) {
+      for (int d = 0; d < D; ++d) reconcile_levels(d);
     }
 
     // Thin the merged Poisson stream: dispatcher d sees an independent
@@ -386,7 +372,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
 
     policy::DispatchContext context;
     if (estimator) {
-      if (!faults || !truth.fault->estimator_drop()) {
+      if (!fault_injector || !fault_injector->estimator_drop()) {
         estimator->on_arrival(t);
       } else if (trace) {
         trace->on_refresh_fault(t, obs::FaultTraceEvent::kEstimatorDrop, -1);
@@ -408,19 +394,12 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
     context.info_version = boards.version(d);
     if (bucketed) context.levels = &boards.level_index(d);
-    if (faults) {
+    if (injected) {
       // Liveness changes must invalidate cached probability vectors even
-      // when the board snapshot itself did not change.
-      context.info_version ^= truth.fault->transition_count() << 32;
-      context.alive = truth.fault->alive();
-      context.sanitize_events = &stats.sanitizer_fixes;
-    }
-    if (churn) {
-      health::Membership& membership = memberships[di];
-      // Membership transitions must invalidate cached probability vectors
-      // even when the board snapshot itself did not change.
-      context.info_version ^= membership.transition_count() << 32;
-      context.alive = membership.candidates();
+      // when the board snapshot itself did not change; the level index has
+      // retired every server believed down (reconcile_levels).
+      context.info_version ^= liveness_changes(di) << 32;
+      context.alive = believed_up(di);
       context.levels_exclude_quarantined = bucketed;
       context.sanitize_events = &stats.sanitizer_fixes;
     }
@@ -451,17 +430,17 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     if (injected) {
       for (int attempt = 0; !cluster.up(server); ++attempt) {
         if (churn) memberships[di].note_failure(server, t);
-        if (attempt >= max_retries) {
+        if (attempt >= liveness_spec.max_retries) {
           dispatched = false;
           break;
         }
         ++stats.dispatch_retries;
-        backoff_penalty += retry_backoff * std::ldexp(1.0, attempt);
-        const std::span<const std::uint8_t> believed_up =
-            churn ? memberships[di].candidates() : truth.fault->alive();
-        server = policy::pick_uniform_alive(believed_up, n, policy_rng);
+        backoff_penalty +=
+            liveness_spec.retry_backoff * std::ldexp(1.0, attempt);
+        const std::span<const std::uint8_t> up = believed_up(di);
+        server = policy::pick_uniform_alive(up, n, policy_rng);
         STALE_AUDIT(check::audit_candidate_pick(
-            server, believed_up, "run_multi_dispatcher_trial: retry pick"));
+            server, up, "run_multi_dispatcher_trial: retry pick"));
       }
     }
 
@@ -516,6 +495,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
       .mean_queue_max = imbalance.mean_snapshot_max(),
       .mean_queue_length = imbalance.mean_queue_length()};
   if (injected) result.faults = stats;
+  if (fault_injector) result.faults.merge(fault_injector->stats());
   result.trace_wraps = trial_workload.wraps();
   fill_percentiles(metrics, result);
   return result;

@@ -13,6 +13,15 @@
 
 namespace stale::driver {
 
+namespace {
+
+// Figure 9's bursty clients: bursts of ~10 requests whose within-burst gaps
+// are 1% of the client's mean gap between requests.
+constexpr double kBurstMeanLength = 10.0;
+constexpr double kBurstWithinGapFraction = 0.01;
+
+}  // namespace
+
 TrialWorkload make_trial_workload(const ExperimentConfig& config) {
   TrialWorkload workload;
   workload.jobs = config.num_jobs;
@@ -38,7 +47,7 @@ TrialWorkload make_trial_workload(const ExperimentConfig& config) {
   stale::workload::ArrivalProcessPtr gaps;
   if (config.bursty) {
     gaps = std::make_unique<stale::workload::BurstyProcess>(
-        gap, config.burst_mean_length, config.burst_within_gap_fraction * gap);
+        gap, kBurstMeanLength, kBurstWithinGapFraction * gap);
   } else {
     gaps = std::make_unique<stale::workload::PoissonProcess>(1.0 / gap);
   }

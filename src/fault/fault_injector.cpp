@@ -1,107 +1,15 @@
 #include "fault/fault_injector.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
-
-#include "check/audit.h"
 
 namespace stale::fault {
 
-namespace {
-constexpr double kNever = std::numeric_limits<double>::infinity();
-}  // namespace
-
-FaultInjector::FaultInjector(const FaultSpec& spec, int num_servers,
-                             sim::Rng& parent_rng)
+FaultInjector::FaultInjector(const FaultSpec& spec, sim::Rng& parent_rng)
     : spec_(spec),
-      crash_rng_(parent_rng.split()),
       loss_rng_(parent_rng.split()),
       delay_rng_(parent_rng.split()),
       estimator_rng_(parent_rng.split()) {
-  if (num_servers <= 0) {
-    throw std::invalid_argument("FaultInjector: need at least one server");
-  }
   spec_.validate();
-  alive_.assign(static_cast<std::size_t>(num_servers), 1);
-  alive_count_ = num_servers;
-  next_transition_.resize(static_cast<std::size_t>(num_servers));
-  for (double& next : next_transition_) {
-    next = spec_.has_crashes() ? draw_uptime() : kNever;
-  }
-}
-
-double FaultInjector::draw_uptime() {
-  return -std::log(crash_rng_.next_double_open0()) / spec_.crash_rate;
-}
-
-double FaultInjector::draw_downtime() {
-  return -std::log(crash_rng_.next_double_open0()) * spec_.mean_downtime;
-}
-
-void FaultInjector::advance_to(queueing::Cluster& cluster, double t,
-                               const RequeueFn& requeue) {
-  if (!spec_.has_crashes()) return;
-  while (true) {
-    // Earliest pending transition (ties broken by server index: the min-scan
-    // keeps the first minimum, so the order is deterministic).
-    int which = -1;
-    double when = t;
-    for (std::size_t i = 0; i < next_transition_.size(); ++i) {
-      if (next_transition_[i] <= when) {
-        if (which < 0 || next_transition_[i] < when) {
-          which = static_cast<int>(i);
-          when = next_transition_[i];
-        }
-      }
-    }
-    if (which < 0) break;
-    const auto s = static_cast<std::size_t>(which);
-    if (alive_[s] != 0) {
-      displaced_scratch_.clear();
-      cluster.crash(when, which, displaced_scratch_);
-      alive_[s] = 0;
-      --alive_count_;
-      ++stats_.crashes;
-      [[maybe_unused]] const std::uint64_t requeued_before =
-          stats_.jobs_requeued;
-      [[maybe_unused]] const std::uint64_t lost_before = stats_.jobs_lost;
-      if (spec_.semantics == CrashSemantics::kRequeue && requeue) {
-        for (const queueing::DisplacedJob& job : displaced_scratch_) {
-          if (requeue(when, job)) {
-            ++stats_.jobs_requeued;
-          } else {
-            ++stats_.jobs_lost;
-          }
-        }
-      } else {
-        stats_.jobs_lost += displaced_scratch_.size();
-      }
-      STALE_AUDIT(check::audit_displaced_conserved(
-          displaced_scratch_.size(),
-          stats_.jobs_requeued - requeued_before,
-          stats_.jobs_lost - lost_before, "FaultInjector::advance_to"));
-      next_transition_[s] = when + draw_downtime();
-    } else {
-      cluster.recover(when, which);
-      alive_[s] = 1;
-      ++alive_count_;
-      ++stats_.recoveries;
-      next_transition_[s] = when + draw_uptime();
-    }
-    ++transitions_;
-    STALE_AUDIT(check::audit_fault_liveness(alive_, alive_count_,
-                                            stats_.crashes, stats_.recoveries,
-                                            transitions_,
-                                            "FaultInjector::advance_to"));
-  }
-}
-
-double FaultInjector::next_transition_time() const {
-  double earliest = kNever;
-  for (double next : next_transition_) earliest = std::min(earliest, next);
-  return earliest;
 }
 
 bool FaultInjector::drop_refresh() {

@@ -1,69 +1,33 @@
-// Deterministic, seed-reproducible fault injection for one simulation trial.
+// Deterministic, seed-reproducible degraded information for one simulation
+// trial: refresh loss, refresh delay and estimator dropout.
 //
-// The injector owns four independent RNG streams split from the trial's
-// engine — crash schedule, refresh loss, refresh delay, estimator dropout —
-// so enabling one fault class never perturbs the draws of another, and a
-// fault-free configuration consumes no randomness at all (bit-identical to a
-// run without the fault layer).
+// The injector owns three independent RNG streams split from the trial's
+// engine — refresh loss, refresh delay, estimator dropout — so enabling one
+// fault class never perturbs the draws of another, and a fault-free
+// configuration consumes no randomness at all (bit-identical to a run
+// without the fault layer).
 //
-// Crash/recovery is a per-server alternating renewal process: while up, time
-// to crash ~ Exp(crash_rate); while down, time to recovery ~
-// Exp(1 / mean_downtime). Transitions are applied in global time order by
-// advance_to(), which crashes/recovers servers in the cluster, tallies
-// FaultStats, and hands displaced jobs to a requeue callback (requeue
-// semantics) or counts them lost (lost-work semantics).
+// Crash/recovery is not here: a spec's crash keys configure the trial's one
+// liveness process (health::ChurnInjector, via
+// health::ChurnSpec::from_crash_faults), whose stream the engine splits just
+// before this injector's three.
 //
-// The injector also implements loadinfo::RefreshFaults, so the three
-// information models consult the same seeded streams for update loss and
-// extra delay.
+// The injector implements loadinfo::RefreshFaults, so the information
+// models consult the same seeded streams for update loss and extra delay.
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
 
 #include "fault/fault_spec.h"
 #include "fault/fault_stats.h"
 #include "loadinfo/refresh_faults.h"
-#include "queueing/cluster.h"
 #include "sim/rng.h"
 
 namespace stale::fault {
 
 class FaultInjector final : public loadinfo::RefreshFaults {
  public:
-  // Called at the crash instant for each displaced job under requeue
-  // semantics; the callee re-dispatches it (and must not advance the cluster
-  // past the crash time). Returns false when re-dispatch was impossible
-  // (e.g. no server alive), in which case the job counts as lost.
-  using RequeueFn =
-      std::function<bool(double when, const queueing::DisplacedJob& job)>;
-
   // Splits the injector's private streams off `parent_rng` (which advances by
-  // exactly four split() calls, independent of the spec).
-  FaultInjector(const FaultSpec& spec, int num_servers, sim::Rng& parent_rng);
-
-  // Applies every crash/recovery transition with time <= t, in time order.
-  // `requeue` may be empty under lost-work semantics.
-  void advance_to(queueing::Cluster& cluster, double t,
-                  const RequeueFn& requeue);
-
-  // Time of the earliest pending transition (+inf when crashes are off).
-  // Drivers interleave board syncs with transitions in global time order:
-  // sync the boards up to this instant, then advance the injector past it.
-  double next_transition_time() const;
-
-  // Dispatcher-known liveness (1 = up). Stable storage for DispatchContext.
-  std::span<const std::uint8_t> alive() const { return alive_; }
-
-  // Count of servers currently up.
-  int alive_count() const { return alive_count_; }
-
-  // Monotone counter of crash/recovery transitions; mixed into the policy
-  // cache version so cached probability vectors are rebuilt whenever the
-  // liveness picture changes.
-  std::uint64_t transition_count() const { return transitions_; }
+  // exactly three split() calls, independent of the spec).
+  FaultInjector(const FaultSpec& spec, sim::Rng& parent_rng);
 
   // loadinfo::RefreshFaults:
   bool drop_refresh() override;
@@ -72,25 +36,15 @@ class FaultInjector final : public loadinfo::RefreshFaults {
   // True when this arrival's sample never reaches the rate estimator.
   bool estimator_drop();
 
-  const FaultSpec& spec() const { return spec_; }
   FaultStats& stats() { return stats_; }
   const FaultStats& stats() const { return stats_; }
 
  private:
-  double draw_uptime();
-  double draw_downtime();
-
   FaultSpec spec_;
-  sim::Rng crash_rng_;
   sim::Rng loss_rng_;
   sim::Rng delay_rng_;
   sim::Rng estimator_rng_;
-  std::vector<double> next_transition_;  // per server; +inf when crashes off
-  std::vector<std::uint8_t> alive_;
-  int alive_count_ = 0;
-  std::uint64_t transitions_ = 0;
   FaultStats stats_;
-  std::vector<queueing::DisplacedJob> displaced_scratch_;
 };
 
 }  // namespace stale::fault

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -27,12 +28,16 @@ ChurnInjector::ChurnInjector(const ChurnSpec& spec, int num_servers,
   leave_at_.resize(n);
   up_at_.assign(n, kNever);
   cause_.assign(n, Cause::kNone);
+  heap_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     restart_at_[s] = spec_.has_restarts()
                          ? spec_.restart_every * static_cast<double>(s + 1)
                          : kNever;
     leave_at_[s] = spec_.has_leaves() ? draw_leave_gap() : kNever;
+    const double first = pending(s);
+    if (first != kNever) heap_.emplace_back(first, static_cast<int>(s));
   }
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
 double ChurnInjector::draw_leave_gap() {
@@ -43,16 +48,13 @@ double ChurnInjector::draw_rejoin_gap() {
   return -std::log(churn_rng_.next_double_open0()) * spec_.rejoin_delay;
 }
 
+double ChurnInjector::pending(std::size_t server) const {
+  return up_[server] != 0 ? std::min(restart_at_[server], leave_at_[server])
+                          : up_at_[server];
+}
+
 double ChurnInjector::next_transition_time() const {
-  double earliest = kNever;
-  for (std::size_t s = 0; s < up_.size(); ++s) {
-    if (up_[s] != 0) {
-      earliest = std::min(earliest, std::min(restart_at_[s], leave_at_[s]));
-    } else {
-      earliest = std::min(earliest, up_at_[s]);
-    }
-  }
-  return earliest;
+  return heap_.empty() ? kNever : heap_.front().first;
 }
 
 void ChurnInjector::apply_down(queueing::Cluster& cluster, double when,
@@ -114,25 +116,15 @@ void ChurnInjector::apply_up(queueing::Cluster& cluster, double when,
 
 void ChurnInjector::advance_to(queueing::Cluster& cluster, double t,
                                const RequeueFn& requeue) {
-  if (!spec_.has_restarts() && !spec_.has_leaves()) return;
-  while (true) {
-    // Earliest pending transition (ties broken by server index: the min-scan
-    // keeps the first minimum, so the order is deterministic).
-    int which = -1;
-    bool down_event = false;
-    double when = t;
-    for (std::size_t s = 0; s < up_.size(); ++s) {
-      const double pending =
-          up_[s] != 0 ? std::min(restart_at_[s], leave_at_[s]) : up_at_[s];
-      if (pending <= when && (which < 0 || pending < when)) {
-        which = static_cast<int>(s);
-        when = pending;
-        down_event = up_[s] != 0;
-      }
-    }
-    if (which < 0) break;
+  // Only the firing server's pending instant changes, so each transition is
+  // one pop plus at most one push. The heap orders (time, server) pairs, so
+  // ties go to the lowest server index, deterministically.
+  while (!heap_.empty() && heap_.front().first <= t) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [when, which] = heap_.back();
+    heap_.pop_back();
     const auto s = static_cast<std::size_t>(which);
-    if (down_event) {
+    if (up_[s] != 0) {
       cause_[s] =
           restart_at_[s] <= leave_at_[s] ? Cause::kRestart : Cause::kLeave;
       up_at_[s] = when + (cause_[s] == Cause::kRestart ? spec_.restart_down
@@ -140,6 +132,11 @@ void ChurnInjector::advance_to(queueing::Cluster& cluster, double t,
       apply_down(cluster, when, which, requeue);
     } else {
       apply_up(cluster, when, which);
+    }
+    const double next = pending(s);
+    if (next != kNever) {
+      heap_.emplace_back(next, which);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
     }
     STALE_AUDIT(check::audit_fault_liveness(
         up_, up_count_, stats_.crashes, stats_.recoveries, transitions_,

@@ -24,6 +24,16 @@ HealthConfig ChurnSpec::resolved_health(double update_interval) const {
   return config;
 }
 
+ChurnSpec ChurnSpec::from_crash_faults(const fault::FaultSpec& faults) {
+  ChurnSpec spec;
+  spec.leave_rate = faults.crash_rate;
+  spec.rejoin_delay = faults.mean_downtime;
+  spec.semantics = faults.semantics;
+  spec.max_retries = faults.max_retries;
+  spec.retry_backoff = faults.retry_backoff;
+  return spec;
+}
+
 void ChurnSpec::validate() const {
   const auto require = [](bool ok, const char* message) {
     if (!ok) throw std::invalid_argument(std::string("ChurnSpec: ") + message);

@@ -70,6 +70,13 @@ struct ChurnSpec {
     return has_restarts() || has_leaves() || has_slow_nodes();
   }
 
+  // The liveness process a fault spec's crash keys describe: a crash is a
+  // Poisson leave (leave = crash, rejoin = down) with the fault spec's
+  // semantics, retries and backoff. Nothing else is set, so the spec has
+  // no restarts and no slow nodes; a crash-free fault spec gives a
+  // transition-free process.
+  static ChurnSpec from_crash_faults(const fault::FaultSpec& faults);
+
   // Absolute-time health configuration for a run with update interval T.
   HealthConfig resolved_health(double update_interval) const;
 

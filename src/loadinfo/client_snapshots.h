@@ -57,9 +57,16 @@ class ClientSnapshots {
   std::uint64_t version() const { return version_; }
 
   // Bucketed snapshots: access() builds level_index() from the client's
-  // loads, O(n) per request, as ContinuousView does.
-  void enable_level_index() { track_levels_ = true; }
+  // loads, O(n) per request, as ContinuousView does. The index is sized
+  // from the start, so servers can be retired before the first access.
+  void enable_level_index() {
+    track_levels_ = true;
+    level_index_.build(loads());
+  }
   const sim::LevelIndex& level_index() const { return level_index_; }
+  // Liveness bookkeeping (retire/readmit); a rebuild keeps the retirement
+  // mask (sim::LevelIndex::build).
+  sim::LevelIndex& level_index_mut() { return level_index_; }
 
   // Attaches a trace sink notified per lost reply (on_refresh_fault).
   // Pure observer; nullptr detaches.

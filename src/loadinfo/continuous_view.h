@@ -52,12 +52,20 @@ class ContinuousView {
   // materialized view. Per-request views change wholesale (a fresh past
   // instant each observe), so the rebuild is O(n) per request — the bucketed
   // win under this model comes from the O(#levels) dispatch kernels, not
-  // from snapshot maintenance. Off by default.
-  void enable_level_index() {
+  // from snapshot maintenance. Off by default. Until the first observe the
+  // view is the empty-cluster prior of `num_servers` zeros, so the index is
+  // sized (and servers can be retired) from the start.
+  void enable_level_index(int num_servers) {
     track_levels_ = true;
+    if (loads_.empty()) {
+      loads_.assign(static_cast<std::size_t>(num_servers), 0);
+    }
     level_index_.build(loads_);
   }
   const sim::LevelIndex& level_index() const { return level_index_; }
+  // Liveness bookkeeping (retire/readmit); a rebuild keeps the retirement
+  // mask (sim::LevelIndex::build).
+  sim::LevelIndex& level_index_mut() { return level_index_; }
 
   // Attaches a trace sink notified per materialized view (on_board_refresh;
   // one per request under this model) and per dropped refresh

@@ -24,8 +24,7 @@ namespace stale::policy {
 //   kBucketed — O(#levels) kernels over the level histogram, two-stage
 //               sampling (level, then uniform server within the level).
 //   kAuto     — bucketed iff the cluster is at least
-//               kBucketedAutoThreshold servers (and the run is eligible:
-//               no fault injection).
+//               kBucketedAutoThreshold servers.
 // Per-LEVEL dispatch distributions are identical across representations
 // (audited under STALELOAD_AUDIT); RNG draw sequences differ, so paired
 // runs of different representations are not bit-identical.
@@ -62,9 +61,9 @@ struct DispatchContext {
   // structures (probability vectors, schedules) across requests of a phase.
   std::uint64_t info_version = 0;
 
-  // Liveness the dispatcher knows about (fault-injected runs): alive[i] != 0
-  // means server i is believed up. Empty means no fault layer — everyone is
-  // alive. Policies must never concentrate probability on known-dead servers.
+  // Liveness the dispatcher knows about (fault and churn runs): alive[i] != 0
+  // means server i is believed up. Empty means no liveness process —
+  // everyone is alive. Policies must never concentrate probability on known-dead servers.
   std::span<const std::uint8_t> alive{};
 
   // When non-null, incremented each time a policy had to repair a degenerate
@@ -78,8 +77,8 @@ struct DispatchContext {
   const sim::LevelIndex* levels = nullptr;
 
   // True when `levels` already excludes every server the `alive` mask marks
-  // down (the health layer retires quarantined servers from the index). Lets
-  // the bucketed fast path stay on under churn: the counted representation
+  // down (the trial engine retires them from the index). Lets the bucketed
+  // fast path stay on under faults and churn: the counted representation
   // then IS the candidate set, so no per-server reshaping is needed.
   bool levels_exclude_quarantined = false;
 
@@ -96,9 +95,10 @@ struct DispatchContext {
   bool periodic() const { return phase_length > 0.0; }
 
   // Bucketed fast path applies when a level index is provided and either no
-  // liveness mask is active (fault runs reshape probabilities per server,
-  // which the counted representation cannot express) or the index already
-  // excludes the quarantined servers (health/churn runs).
+  // liveness mask is active or the index already excludes every server the
+  // mask marks down (the trial engine retires them under faults and churn).
+  // A mask the index does not reflect reshapes probabilities per server,
+  // which the counted representation cannot express.
   bool use_bucketed() const {
     return levels != nullptr && (alive.empty() || levels_exclude_quarantined);
   }

@@ -65,7 +65,11 @@ void Cluster::advance_to(double t) {
     // A mismatch means this entry was superseded (its departure was already
     // retired by an earlier pop's advance, or wiped by a crash): skip it.
     if (scheduled_[s] != entry.when) continue;
+    const bool had_none = track_jobs_ && servers_[s].completions().empty();
     servers_[s].advance_to(t);
+    if (had_none && !servers_[s].completions().empty()) {
+      completed_.push_back(entry.server);
+    }
     refresh_load(s);
     scheduled_[s] = kNever;
     schedule_front(s);
@@ -102,6 +106,7 @@ void Cluster::loads_at(double t, std::vector<int>& out) const {
 
 void Cluster::enable_job_tracking() {
   for (FifoServer& server : servers_) server.enable_job_tracking();
+  track_jobs_ = true;
 }
 
 double Cluster::assign_tagged(double t, int server, double job_size,
@@ -147,14 +152,19 @@ void Cluster::recover(double t, int server) {
 }
 
 void Cluster::drain_completions(std::vector<CompletedJob>& out) {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    std::vector<CompletedJob>& done = servers_[i].completions();
+  // Ascending server order keeps the drain identical to a full scan; the
+  // caller sums responses in this order, so the order is part of the result.
+  std::sort(completed_.begin(), completed_.end());
+  for (const int server : completed_) {
+    std::vector<CompletedJob>& done =
+        servers_[static_cast<std::size_t>(server)].completions();
     for (CompletedJob& job : done) {
-      job.server = static_cast<int>(i);
+      job.server = server;
       out.push_back(job);
     }
     done.clear();
   }
+  completed_.clear();
 }
 
 void Cluster::set_trace_sink(obs::TraceSink* sink) {

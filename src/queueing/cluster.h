@@ -86,7 +86,9 @@ class Cluster {
   }
 
   // Moves every completion retired since the last drain into `out`, in
-  // server-index order (deterministic for a fixed event sequence).
+  // server-index order (deterministic for a fixed event sequence). Visits
+  // only the servers whose advance retired a completion, so a drain costs
+  // O(completions), not O(n).
   void drain_completions(std::vector<CompletedJob>& out);
 
   // Latest pending departure across servers (== advanced time when idle):
@@ -126,6 +128,11 @@ class Cluster {
   std::vector<double> scheduled_;
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>>
       due_;
+
+  // Job tracking only: the servers holding undrained completions, each
+  // listed once (appended when its completion list turns non-empty).
+  bool track_jobs_ = false;
+  std::vector<int> completed_;
 };
 
 }  // namespace stale::queueing

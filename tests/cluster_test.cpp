@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "queueing/metrics.h"
+#include "sim/rng.h"
 
 namespace stale::queueing {
 namespace {
@@ -130,6 +132,83 @@ TEST(ClusterTest, LazyAdvanceMatchesSweepExactly) {
           << "level " << level << " at t=" << t;
     }
   }
+}
+
+// A drain visits only the servers whose advance retired a completion. Under
+// random assign/advance/crash/recover traffic its batches must equal a full
+// scan of reference FifoServers in ascending index order, job for job: the
+// engine sums responses in drain order, so the order is part of the result.
+TEST(ClusterTest, DrainMatchesFullScanUnderCrashes) {
+  constexpr int kServers = 12;
+  std::vector<FifoServer> reference(kServers);
+  for (FifoServer& server : reference) server.enable_job_tracking();
+  Cluster cluster(kServers);
+  cluster.enable_job_tracking();
+
+  const auto full_scan = [&](double t) {
+    std::vector<CompletedJob> out;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      reference[i].advance_to(t);
+      for (CompletedJob job : reference[i].completions()) {
+        job.server = static_cast<int>(i);
+        out.push_back(job);
+      }
+      reference[i].completions().clear();
+    }
+    return out;
+  };
+
+  sim::Rng rng(0xD4A1);
+  std::vector<DisplacedJob> displaced;
+  std::vector<DisplacedJob> reference_displaced;
+  std::vector<CompletedJob> batch;
+  std::uint64_t tag = 0;
+  std::size_t drained = 0;
+  int crashes = 0;
+  double t = 0.0;
+  for (int step = 0; step < 6000; ++step) {
+    t += 0.25 * rng.next_double();
+    const int server = static_cast<int>(rng.next_below(kServers));
+    const auto s = static_cast<std::size_t>(server);
+    const double action = rng.next_double();
+    if (action < 0.04) {
+      if (cluster.up(server)) {
+        displaced.clear();
+        reference_displaced.clear();
+        cluster.crash(t, server, displaced);
+        reference[s].crash(t, reference_displaced);
+        ASSERT_EQ(displaced.size(), reference_displaced.size());
+        ++crashes;
+      } else {
+        cluster.recover(t, server);
+        reference[s].recover(t);
+      }
+    } else if (action < 0.8 && cluster.up(server)) {
+      const double size = 3.0 * rng.next_double();
+      ASSERT_EQ(cluster.assign_tagged(t, server, size, tag, t),
+                reference[s].assign_tagged(t, size, tag, t));
+      ++tag;
+    } else {
+      cluster.advance_to(t);
+    }
+    if (rng.next_double() < 0.3) {
+      cluster.advance_to(t);
+      batch.clear();
+      cluster.drain_completions(batch);
+      const std::vector<CompletedJob> expected = full_scan(t);
+      ASSERT_EQ(batch.size(), expected.size()) << "step " << step;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(batch[i].tag, expected[i].tag) << "step " << step;
+        EXPECT_EQ(batch[i].server, expected[i].server) << "step " << step;
+        EXPECT_EQ(batch[i].response, expected[i].response) << "step " << step;
+        EXPECT_EQ(batch[i].departure, expected[i].departure)
+            << "step " << step;
+      }
+      drained += batch.size();
+    }
+  }
+  EXPECT_GT(drained, 1000u);
+  EXPECT_GT(crashes, 20);
 }
 
 // With a history window, a server the departure heap never touched trails

@@ -1,13 +1,14 @@
 // Determinism of the churn trial path under trial parallelism: a run with
 // membership churn (rolling restarts + Poisson leave/rejoin feeding the
-// health state machine) must produce bit-identical per-trial results and
-// fault counters whether trials execute serially or on a worker pool, on
-// both board representations. Lives in tests/concurrency/ so the TSan CI
-// job race-checks the churn injector, Membership, and the level-index
-// retirement plumbing wholesale.
+// health state machine), alone or beside degraded information, must produce
+// bit-identical per-trial results and fault counters whether trials execute
+// serially or on a worker pool, on both board representations. Lives in
+// tests/concurrency/ so the TSan CI job race-checks the churn injector,
+// Membership, and the level-index retirement plumbing wholesale.
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
+#include "fault/fault_spec.h"
 #include "health/churn_spec.h"
 
 namespace {
@@ -37,7 +38,10 @@ ExperimentConfig churn_config(stale::driver::UpdateModel model,
   return config;
 }
 
-void expect_parallel_matches_serial(ExperimentConfig config) {
+// `serial_out` (nullable) receives the serial run, for callers that check
+// what it injected.
+void expect_parallel_matches_serial(ExperimentConfig config,
+                                    ExperimentResult* serial_out = nullptr) {
   config.jobs = 1;
   const ExperimentResult serial = run_experiment(config);
   config.jobs = 4;
@@ -51,6 +55,7 @@ void expect_parallel_matches_serial(ExperimentConfig config) {
   // identically too — FaultStats equality is member-wise.
   EXPECT_EQ(serial.faults, parallel.faults);
   EXPECT_GT(serial.faults.crashes, 0u);
+  if (serial_out != nullptr) *serial_out = serial;
 }
 
 TEST(ChurnDeterminismTest, PeriodicVectorBitIdenticalAcrossJobs) {
@@ -69,6 +74,21 @@ TEST(ChurnDeterminismTest, IndividualBucketedBitIdenticalAcrossJobs) {
   expect_parallel_matches_serial(
       churn_config(stale::driver::UpdateModel::kIndividual,
                    stale::policy::BoardRepr::kBucketed));
+}
+
+TEST(ChurnDeterminismTest, FaultsBesideChurnBucketedBitIdenticalAcrossJobs) {
+  // Degraded information rides beside churn on the counted path: the fault
+  // injector's streams, the liveness process and the level-index
+  // retirement must all replay identically on a worker pool.
+  ExperimentConfig config =
+      churn_config(stale::driver::UpdateModel::kIndividual,
+                   stale::policy::BoardRepr::kBucketed);
+  config.fault =
+      stale::fault::FaultSpec::parse("loss=0.2,delay=0.5,cutoff=2T");
+  ExperimentResult serial;
+  expect_parallel_matches_serial(config, &serial);
+  EXPECT_GT(serial.faults.updates_lost, 0u);
+  EXPECT_GT(serial.faults.updates_delayed, 0u);
 }
 
 }  // namespace

@@ -46,14 +46,16 @@ TEST(ExperimentConfigTest, ValidationCatchesBadValues) {
 }
 
 TEST(ExperimentConfigTest, BucketedValidationAndAutoResolution) {
-  // Explicit bucketed + fault injection is rejected.
+  // Explicit bucketed + fault injection validates and runs.
   ExperimentConfig config = small_config();
+  config.num_jobs = 2'000;
+  config.warmup_jobs = 500;
   config.board_repr = policy::BoardRepr::kBucketed;
   config.fault.crash_rate = 0.01;
-  EXPECT_THROW(run_experiment(config), std::invalid_argument);
+  EXPECT_GT(run_experiment(config).faults.crashes, 0u);
 
   // Auto: vector below the threshold, bucketed at/above it under every
-  // model, and never for fault runs regardless of size.
+  // model, with or without faults.
   config = small_config();
   EXPECT_FALSE(config.resolved_bucketed());  // default n = 10
   config.num_servers = policy::kBucketedAutoThreshold;
@@ -62,7 +64,7 @@ TEST(ExperimentConfigTest, BucketedValidationAndAutoResolution) {
   EXPECT_TRUE(config.resolved_bucketed());
   config.model = UpdateModel::kPeriodic;
   config.fault.crash_rate = 0.01;
-  EXPECT_FALSE(config.resolved_bucketed());
+  EXPECT_TRUE(config.resolved_bucketed());
   config.fault.crash_rate = 0.0;
   config.board_repr = policy::BoardRepr::kVector;
   EXPECT_FALSE(config.resolved_bucketed());
@@ -498,43 +500,32 @@ TEST(CliTest, BoardReprFlagParsesAndRejectsBadValues) {
   EXPECT_THROW(Cli(3, bad).apply_run_scale(config3), std::invalid_argument);
 }
 
-TEST(CliTest, BucketedBoardPlusFaultSpecErrorNamesBothFlags) {
-  // The conflict is surfaced at the flag layer so the message can tell the
-  // user which two flags to untangle (and point at --churn-spec as the
-  // health-aware alternative) instead of naming internal config fields.
+TEST(CliTest, BucketedBoardPlusFaultSpecIsAccepted) {
+  // Faults run on the counted representation: the engine retires every
+  // server a dispatcher believes down from its level index. The full spec
+  // and the overlay fault flags both combine with --board-repr bucketed.
   const char* argv[] = {"bench", "--board-repr", "bucketed", "--fault-spec",
-                        "loss=0.1"};
-  try {
-    ExperimentConfig config;
-    Cli(5, argv).apply_run_scale(config);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("--board-repr bucketed"), std::string::npos);
-    EXPECT_NE(what.find("--fault-spec"), std::string::npos);
-    EXPECT_NE(what.find("--churn-spec"), std::string::npos);
-  }
-  // The overlay fault flags trip the same conflict as the full spec...
+                        "crash=0.01,down=2,loss=0.1"};
+  ExperimentConfig config;
+  EXPECT_NO_THROW(Cli(5, argv).apply_run_scale(config));
+  EXPECT_EQ(config.board_repr, policy::BoardRepr::kBucketed);
+  EXPECT_TRUE(config.fault.any());
+  EXPECT_TRUE(config.resolved_bucketed());
+  config.num_jobs = 1'500;
+  config.warmup_jobs = 300;
+  const TrialResult result = run_trial(config, 5);
+  EXPECT_TRUE(std::isfinite(result.mean_response));
+  EXPECT_GT(result.faults.crashes, 0u);
+
   const char* overlay[] = {"bench", "--board-repr", "bucketed",
                            "--update-loss", "0.2"};
-  ExperimentConfig config;
-  EXPECT_THROW(Cli(5, overlay).apply_run_scale(config),
-               std::invalid_argument);
-  // ...while either flag alone, or bucketed + churn, is fine.
-  config = ExperimentConfig{};  // the throwing run above already set fault
-  const char* repr_only[] = {"bench", "--board-repr", "bucketed"};
-  EXPECT_NO_THROW(Cli(3, repr_only).apply_run_scale(config));
   config = ExperimentConfig{};
-  const char* fault_only[] = {"bench", "--fault-spec", "loss=0.1"};
-  EXPECT_NO_THROW(Cli(3, fault_only).apply_run_scale(config));
-  config = ExperimentConfig{};
-  const char* with_churn[] = {"bench", "--board-repr", "bucketed",
-                              "--churn-spec", "restart=30,restartdown=2"};
-  EXPECT_NO_THROW(Cli(5, with_churn).apply_run_scale(config));
-  EXPECT_TRUE(config.churn.any());
+  EXPECT_NO_THROW(Cli(5, overlay).apply_run_scale(config));
+  EXPECT_DOUBLE_EQ(config.fault.update_loss, 0.2);
+  EXPECT_TRUE(config.resolved_bucketed());
 }
 
-TEST(CliTest, ChurnSpecFlagBuildsTheSpecAndExcludesFaults) {
+TEST(CliTest, ChurnSpecFlagBuildsTheSpecAndExcludesCrashKeys) {
   const char* argv[] = {"bench", "--churn-spec",
                         "leave=0.01,rejoin=2,suspect=2T,evict=4T"};
   Cli cli(3, argv);
@@ -548,17 +539,36 @@ TEST(CliTest, ChurnSpecFlagBuildsTheSpecAndExcludesFaults) {
   ExperimentConfig config2;
   EXPECT_THROW(Cli(3, bad).apply_run_scale(config2), std::invalid_argument);
 
-  const char* both[] = {"bench", "--churn-spec", "restart=30,restartdown=2",
-                        "--fault-spec", "loss=0.1"};
-  try {
+  // The churn spec owns the liveness process and the retry path, so the
+  // fault spec's keys for them are refused by name...
+  for (const char* key : {"crash=0.01", "down=2", "semantics=requeue",
+                          "retries=5", "backoff=0.2"}) {
+    const char* both[] = {"bench", "--churn-spec", "restart=30,restartdown=2",
+                          "--fault-spec", key};
     ExperimentConfig config3;
     Cli(5, both).apply_run_scale(config3);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("--churn-spec"), std::string::npos);
-    EXPECT_NE(what.find("--fault-spec"), std::string::npos);
+    config3.num_jobs = 1'000;
+    config3.warmup_jobs = 200;
+    const std::string name = std::string(key).substr(
+        0, std::string(key).find('='));
+    EXPECT_NE(rejection(config3).find("'" + name + "'"), std::string::npos)
+        << key;
   }
+  // ...and the crash-rate overlay flag trips the same check.
+  const char* overlay[] = {"bench", "--churn-spec", "leave=0.01",
+                           "--crash-rate", "0.01"};
+  ExperimentConfig config4;
+  Cli(5, overlay).apply_run_scale(config4);
+  EXPECT_NE(rejection(config4).find("'crash'"), std::string::npos);
+
+  // Degraded information combines with churn.
+  const char* with_loss[] = {"bench", "--churn-spec", "leave=0.01",
+                             "--fault-spec", "loss=0.1,delay=0.2,cutoff=2T"};
+  ExperimentConfig config5;
+  Cli(5, with_loss).apply_run_scale(config5);
+  config5.num_jobs = 1'000;
+  config5.warmup_jobs = 200;
+  EXPECT_EQ(rejection(config5), "");
 }
 
 TEST(CliTest, DispatchersCombineWithFaultsAndEveryBoardModel) {

@@ -1,6 +1,7 @@
 // Bit-exact pin of the trial engine: every TrialResult field of a fixed set
 // of small configurations — each board model and representation, churn,
-// every fault class, an online estimator, a non-Poisson arrival spec, a few
+// every fault class (crash faults also on the bucketed board, loss also
+// beside churn), an online estimator, a non-Poisson arrival spec, a few
 // multi-dispatcher runs, and update-on-access (plain, bursty, and a run that
 // min_jobs_per_client extends) — compared against
 // tests/golden/engine_parity.csv. Doubles are stored as hex floats, so a
@@ -115,6 +116,16 @@ const std::vector<ParityCase>& parity_cases() {
        [](ExperimentConfig& c) {
          c.model = UpdateModel::kContinuous;
          c.fault = fault::FaultSpec::parse(std::string(kCrash) + ",delay=0.5");
+       }},
+      {"fault_crash_bucketed",
+       [](ExperimentConfig& c) {
+         c.board_repr = BoardRepr::kBucketed;
+         c.fault = fault::FaultSpec::parse(kCrash);
+       }},
+      {"fault_loss_churn",
+       [](ExperimentConfig& c) {
+         c.churn = health::ChurnSpec::parse(kChurn);
+         c.fault = fault::FaultSpec::parse("loss=0.3");
        }},
       {"estimator_cema", [](ExperimentConfig& c) { c.rate_estimator = "cema"; }},
       {"arrival_mmpp",

@@ -1,7 +1,7 @@
-// Tests for the fault-injection layer: spec parsing, the deterministic
-// injector, crash semantics at the queueing layer, degraded refreshes in the
-// information models, probability-vector sanitization, the staleness-cutoff
-// wrapper, and the fault trial path end to end.
+// Tests for the fault-injection layer: spec parsing, crash faults through
+// the liveness process, crash semantics at the queueing layer, degraded
+// refreshes in the information models, probability-vector sanitization, the
+// staleness-cutoff wrapper, and the fault trial path end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,8 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_spec.h"
 #include "fault/hardened_policy.h"
+#include "health/churn_injector.h"
+#include "health/churn_spec.h"
 #include "loadinfo/continuous_view.h"
 #include "loadinfo/individual_board.h"
 #include "loadinfo/periodic_board.h"
@@ -210,26 +212,36 @@ TEST(CrashSemanticsTest, RequeuedJobKeepsItsResponseClock) {
   EXPECT_DOUBLE_EQ(done[0].response, 5.0);
 }
 
-// --- FaultInjector --------------------------------------------------------
+// --- crash faults -----------------------------------------------------------
+// FaultInjector keeps refresh loss, delay and estimator dropout; a spec's
+// crash keys configure the trial's one liveness process, so these drive
+// health::ChurnInjector through ChurnSpec::from_crash_faults.
+
+health::ChurnInjector crash_process(const std::string& spec, int num_servers,
+                                    sim::Rng& rng) {
+  return health::ChurnInjector(
+      health::ChurnSpec::from_crash_faults(FaultSpec::parse(spec)),
+      num_servers, rng);
+}
 
 TEST(FaultInjectorTest, NoCrashesMeansNoTransitions) {
   sim::Rng rng(42);
-  FaultInjector injector(FaultSpec::parse("loss=0.5"), 4, rng);
+  health::ChurnInjector injector = crash_process("loss=0.5", 4, rng);
   EXPECT_TRUE(std::isinf(injector.next_transition_time()));
   queueing::Cluster cluster(4);
   cluster.enable_job_tracking();
   injector.advance_to(cluster, 1e9, nullptr);
   EXPECT_EQ(injector.stats().crashes, 0u);
   EXPECT_EQ(injector.transition_count(), 0u);
-  EXPECT_EQ(injector.alive_count(), 4);
+  EXPECT_EQ(injector.up_count(), 4);
 }
 
 TEST(FaultInjectorTest, ScheduleIsSeedReproducible) {
-  const FaultSpec spec = FaultSpec::parse("crash=0.05,down=2");
   std::vector<std::uint64_t> counts;
   for (int rep = 0; rep < 2; ++rep) {
     sim::Rng rng(99);
-    FaultInjector injector(spec, 6, rng);
+    health::ChurnInjector injector =
+        crash_process("crash=0.05,down=2", 6, rng);
     queueing::Cluster cluster(6);
     cluster.enable_job_tracking();
     for (double t = 50.0; t <= 500.0; t += 50.0) {
@@ -247,27 +259,29 @@ TEST(FaultInjectorTest, ScheduleIsSeedReproducible) {
 
 TEST(FaultInjectorTest, AliveMaskTracksClusterState) {
   sim::Rng rng(7);
-  FaultInjector injector(FaultSpec::parse("crash=0.1,down=3"), 5, rng);
+  health::ChurnInjector injector = crash_process("crash=0.1,down=3", 5, rng);
   queueing::Cluster cluster(5);
   cluster.enable_job_tracking();
   for (double t = 10.0; t <= 300.0; t += 10.0) {
     injector.advance_to(cluster, t, nullptr);
     int alive = 0;
     for (int s = 0; s < 5; ++s) {
-      EXPECT_EQ(injector.alive()[static_cast<std::size_t>(s)] != 0,
+      EXPECT_EQ(injector.up()[static_cast<std::size_t>(s)] != 0,
                 cluster.up(s));
       alive += cluster.up(s) ? 1 : 0;
     }
-    EXPECT_EQ(injector.alive_count(), alive);
+    EXPECT_EQ(injector.up_count(), alive);
   }
   EXPECT_EQ(injector.stats().crashes,
             injector.stats().recoveries +
-                (5u - static_cast<unsigned>(injector.alive_count())));
+                (5u - static_cast<unsigned>(injector.up_count())));
 }
 
 TEST(FaultInjectorTest, LostWorkCountsDisplacedJobs) {
+  // A crash spec's default semantics is lost work (the churn spec's is
+  // requeue), and the mapping must carry it.
   sim::Rng rng(11);
-  FaultInjector injector(FaultSpec::parse("crash=0.5,down=1"), 2, rng);
+  health::ChurnInjector injector = crash_process("crash=0.5,down=1", 2, rng);
   queueing::Cluster cluster(2);
   cluster.enable_job_tracking();
   // Keep both servers busy so crashes displace work.
@@ -563,6 +577,62 @@ TEST(FaultTrialTest, ExperimentStatsAreSumOfTrialStats) {
     summed.merge(one.faults);
   }
   EXPECT_EQ(summed, experiment.faults);
+}
+
+TEST(FaultTrialTest, BucketedMatchesVectorForEveryFaultClass) {
+  // Faults run on the counted representation: the engine retires every
+  // crashed server from the level index. The two representations draw
+  // different RNG sequences, so the check is statistical: each fault class's
+  // bucketed mean response lies within the two runs' 90% CIs of the vector
+  // run's.
+  const struct {
+    const char* spec;
+    const char* estimator;
+  } classes[] = {
+      {"crash=0.01,down=3,semantics=requeue", "told"},
+      {"loss=0.3", "told"},
+      {"delay=1.0", "told"},
+      {"loss=0.5,cutoff=1.5T", "told"},
+      {"estdrop=0.4", "ewma:20"},
+  };
+  for (const auto& fault_class : classes) {
+    auto config = fault_config(driver::UpdateModel::kPeriodic,
+                               fault_class.spec);
+    config.num_servers = 32;
+    config.num_jobs = 20'000;
+    config.warmup_jobs = 5'000;
+    config.trials = 6;
+    config.rate_estimator = fault_class.estimator;
+    config.board_repr = policy::BoardRepr::kVector;
+    const driver::ExperimentResult vector = driver::run_experiment(config);
+    config.board_repr = policy::BoardRepr::kBucketed;
+    const driver::ExperimentResult bucketed = driver::run_experiment(config);
+    EXPECT_LE(std::abs(bucketed.mean() - vector.mean()),
+              bucketed.ci90() + vector.ci90())
+        << fault_class.spec << ": bucketed " << bucketed.mean()
+        << " vs vector " << vector.mean();
+    // Both runs inject the fault class they were given.
+    EXPECT_EQ(bucketed.faults.crashes > 0, vector.faults.crashes > 0)
+        << fault_class.spec;
+    EXPECT_EQ(bucketed.faults.updates_lost > 0,
+              vector.faults.updates_lost > 0)
+        << fault_class.spec;
+  }
+}
+
+TEST(FaultTrialTest, ChurnPlusLossCountsBothProcesses) {
+  // The churn spec owns liveness; the fault spec still degrades the board.
+  auto config = fault_config(driver::UpdateModel::kPeriodic, "loss=0.3");
+  config.churn = health::ChurnSpec::parse("leave=0.01,rejoin=2");
+  for (const auto repr :
+       {policy::BoardRepr::kVector, policy::BoardRepr::kBucketed}) {
+    config.board_repr = repr;
+    const driver::ExperimentResult result = driver::run_experiment(config);
+    EXPECT_TRUE(std::isfinite(result.mean()));
+    EXPECT_GT(result.faults.crashes, 0u);
+    EXPECT_GT(result.faults.recoveries, 0u);
+    EXPECT_GT(result.faults.updates_lost, 0u);
+  }
 }
 
 TEST(FaultTrialTest, FaultFreeSpecMatchesBaselinePathBitForBit) {

@@ -524,10 +524,10 @@ TEST(ChurnTrialTest, TrialsAreSeedDeterministic) {
 }
 
 TEST(ChurnTrialTest, RejectsUnsupportedCombinations) {
-  // Churn + fault injection: two owners for ground-truth liveness.
+  // Churn + a crash fault: two owners for the one liveness process.
   auto both = churn_config(driver::UpdateModel::kPeriodic,
                            "restart=30,restartdown=2");
-  both.fault = fault::FaultSpec::parse("loss=0.1");
+  both.fault = fault::FaultSpec::parse("crash=0.01,loss=0.1");
   EXPECT_THROW(driver::run_experiment(both), std::invalid_argument);
   // Models without a per-server report stream cannot feed the health layer.
   EXPECT_THROW(driver::run_experiment(churn_config(

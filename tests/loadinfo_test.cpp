@@ -498,8 +498,8 @@ TEST(IndividualBoardTest, DelayedHeartbeatsQueueAcrossRingGrowth) {
   const fault::FaultSpec spec = fault::FaultSpec::parse("delay=2.5");
   sim::Rng board_parent(7);
   sim::Rng scan_parent(7);
-  fault::FaultInjector board_faults(spec, kServers, board_parent);
-  fault::FaultInjector scan_faults(spec, kServers, scan_parent);
+  fault::FaultInjector board_faults(spec, board_parent);
+  fault::FaultInjector scan_faults(spec, scan_parent);
 
   double t = 0.0;
   for (int step = 0; step < 3000; ++step) {

@@ -2,7 +2,8 @@
 # CLI contract for the seven user-facing binaries: --help exits 0 with usage
 # on stdout, one malformed numeric flag exits nonzero with an error on
 # stderr that names the flag, and staleload_sim refuses model-only flags on
-# a model that does not read them.
+# a model that does not read them and fault-spec crash keys beside a churn
+# spec.
 #
 #   tools/ci_cli_contract.sh build/tools
 set -u
@@ -45,7 +46,8 @@ bad bench_diff --max-regress --max-regress 10x a.json b.json
 
 # rejected FIELD ARGS...: staleload_sim must refuse a flag that its --model
 # does not read (the run would print output identical to the run without
-# it): exit 1 with an error: line that names FIELD.
+# it), or a key another spec owns: exit 1 with an error: line that names
+# FIELD.
 rejected() {
   local field="$1"
   shift
@@ -66,6 +68,9 @@ rejected know_actual_age --model periodic --know-age
 rejected know_actual_age --model update_on_access --know-age
 rejected delay_kind --model periodic --delay exponential
 rejected delay_kind --model update_on_access --delay exponential
+# The churn spec owns the liveness process: a fault spec's crash key beside
+# it is refused by name.
+rejected crash --fault-spec crash=0.01 --churn-spec leave=0.01
 
 if [ "$failures" -gt 0 ]; then
   echo "$failures CLI contract check(s) failed"

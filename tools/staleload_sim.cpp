@@ -8,7 +8,7 @@
 // --help lists every flag, from the same table the parser uses. Beyond the
 // one-line help:
 //   --board-repr auto switches to the O(#levels) bucketed board at 1024+
-//     servers on eligible runs (no faults).
+//     servers.
 //   --bursty (update_on_access) and --delay/--know-age (continuous) are
 //     model-only: any other --model rejects them.
 //   --workload replay:DIR replays a `staleload_lb --record DIR` directory and
@@ -272,7 +272,8 @@ int main(int argc, char** argv) {
           const auto& f = result.faults;
           if (config.fault.any()) {
             table.add_row({"fault spec", config.fault.to_string()});
-          } else {
+          }
+          if (config.churn.any()) {
             table.add_row({"churn spec", config.churn.to_string()});
           }
           table.add_row({"crashes / recoveries",
