@@ -8,26 +8,16 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "driver/receiver_driven.h"
 #include "driver/table.h"
-#include "sim/rng.h"
-#include "sim/stats.h"
 
 namespace {
 
 using stale::driver::ExperimentConfig;
-using stale::driver::StealingOptions;
 using stale::driver::Table;
 
-std::string run_cell(const ExperimentConfig& config,
-                     const StealingOptions& options) {
-  stale::sim::RunningStats stats;
-  for (int trial = 0; trial < config.trials; ++trial) {
-    const auto result = run_receiver_driven_trial(
-        config, options, stale::sim::trial_seed(config.base_seed, trial));
-    stats.add(result.mean_response);
-  }
-  return Table::fmt_ci(stats.mean(), stats.ci90_half_width(), 3);
+std::string run_cell(const ExperimentConfig& config) {
+  const auto result = stale::driver::run_experiment(config);
+  return Table::fmt_ci(result.mean(), result.ci90(), 3);
 }
 
 }  // namespace
@@ -42,21 +32,13 @@ int main(int argc, char** argv) {
         base.lambda = 0.9;
         base.model = stale::driver::UpdateModel::kPeriodic;
         cli.apply_run_scale(base);
-        // The event-kernel engine is several times slower than the lazy
-        // engine; trim the default run length accordingly.
-        if (!cli.has("paper") && !cli.has("num-jobs")) {
-          base.num_jobs /= 2;
-          base.warmup_jobs /= 2;
-        }
-
-        StealingOptions stealing;
-        stealing.migration_delay = cli.number("migration-delay", 0.1);
+        base.migration_delay = cli.number("migration-delay", 0.1);
 
         stale::bench::print_header(
             "Ablation: receiver-driven rebalancing",
             "idle servers probe 3 peers and steal a waiting job "
             "(migration delay " +
-                Table::fmt(stealing.migration_delay, 2) + ")",
+                Table::fmt(base.migration_delay, 2) + ")",
             cli, "n = 10, lambda = 0.9, periodic update");
 
         const std::vector<std::string> policies = {"random", "k_subset:2",
@@ -74,10 +56,9 @@ int main(int argc, char** argv) {
             ExperimentConfig config = base;
             config.update_interval = t;
             config.policy = policy;
-            StealingOptions off = stealing;
-            off.enabled = false;
-            row.push_back(run_cell(config, off));
-            row.push_back(run_cell(config, stealing));
+            row.push_back(run_cell(config));
+            config.stealing = true;
+            row.push_back(run_cell(config));
           }
           table.add_row(std::move(row));
         }

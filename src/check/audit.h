@@ -147,6 +147,18 @@ inline void audit_candidate_pick(int server,
   STALE_ASSERT(candidates[static_cast<std::size_t>(server)] != 0, where);
 }
 
+// Bucketed dispatch under a liveness mask: the counted representation must
+// be the candidate set, so every server the mask marks down must be retired
+// from the level index (`Index` is sim::LevelIndex; templated so this layer
+// includes nothing from sim/).
+template <class Index>
+void audit_dead_servers_retired(std::span<const std::uint8_t> alive,
+                                const Index& levels, const char* where) {
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    STALE_ASSERT(alive[i] != 0 || levels.retired(static_cast<int>(i)), where);
+  }
+}
+
 // Bucketed-board consistency: an incrementally maintained level histogram
 // (counts[level] = number of servers at that queue length) must always equal
 // a fresh recount of the raw load vector it shadows, and its total must

@@ -1,6 +1,7 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "driver/multi_dispatcher.h"
@@ -65,6 +66,11 @@ void validate(const ExperimentConfig& config) {
   }
   if (config.trials < 1) {
     throw std::invalid_argument("ExperimentConfig: trials must be >= 1");
+  }
+  if (!std::isfinite(config.migration_delay) ||
+      config.migration_delay < 0.0) {
+    throw std::invalid_argument(
+        "ExperimentConfig: migration_delay must be finite and >= 0");
   }
   config.fault.validate();
   config.churn.validate();

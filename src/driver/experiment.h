@@ -117,6 +117,15 @@ struct ExperimentConfig {
   // health layer to watch.
   health::ChurnSpec churn;
 
+  // --- receiver-driven rebalancing (the paper's future work, Section 2) ---
+  // With stealing on, a server that goes idle probes 3 peers uniformly with
+  // fresh state and steals the youngest waiting job of the most backlogged
+  // one, if any has a job waiting; the stolen job first spends
+  // migration_delay in transit, occupying the thief. Works under every
+  // model, dispatcher count, fault spec, churn spec and JIQ.
+  bool stealing = false;
+  double migration_delay = 0.0;
+
   // --- arrival-rate knowledge (Figures 12-13) ---
   // The policy is told lambda_total = n * lambda_estimate * error_factor,
   // where lambda_estimate defaults to the true per-server lambda.

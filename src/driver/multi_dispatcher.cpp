@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -24,6 +25,14 @@
 namespace stale::driver {
 
 namespace {
+
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+// Receiver-driven rebalancing: an idle server probes this many peers and
+// steals from the most backlogged one holding at least this many waiting
+// jobs (behind the one in service).
+constexpr int kStealProbes = 3;
+constexpr int kMinWaitingToSteal = 1;
 
 // Fills the percentile fields of `result` from retained samples, if any.
 void fill_percentiles(const queueing::ResponseMetrics& metrics,
@@ -51,6 +60,7 @@ void fill_percentiles(const queueing::ResponseMetrics& metrics,
 //   * the liveness process's one stream split off only when faults or churn
 //     are on, then the fault injector's three (loss, delay, estimator) only
 //     when faults are on;
+//   * one steal-probe stream split off last, only when stealing is on;
 //   * the dispatcher-assignment draw happens only when D > 1.
 // Arrival gaps, job sizes and requeue targets draw from the trial stream.
 // Under update-on-access the first arrival draws every client's first gap in
@@ -68,9 +78,13 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   const bool continuous = config.model == UpdateModel::kContinuous;
   const bool on_access = config.model == UpdateModel::kUpdateOnAccess;
   const bool bucketed = config.resolved_bucketed();
-  // Injected runs record responses at completion (a crash invalidates the
-  // departure computed at dispatch); JIQ needs completions to detect idling.
-  const bool tracking = jiq || injected;
+  // A one-server cluster has no peer to steal from.
+  const bool stealing = config.stealing && n > 1;
+  // Injected and stealing runs record responses at completion (a crash or a
+  // steal invalidates the departure computed at dispatch); JIQ needs
+  // completions to detect idling.
+  const bool record_at_completion = injected || stealing;
+  const bool tracking = jiq || record_at_completion;
   // The one liveness process: the churn spec under churn, otherwise the
   // crash process the fault spec's crash keys describe (transition-free
   // when crash= is unset). Its spec also owns the retry path.
@@ -166,6 +180,8 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   std::optional<fault::FaultInjector> fault_injector;
   if (injected) liveness.emplace(liveness_spec, config.num_servers, rng);
   if (faults) fault_injector.emplace(config.fault, rng);
+  sim::Rng steal_rng;
+  if (stealing) steal_rng = rng.split();
   fault::FaultStats no_injection_stats;
   fault::FaultStats& stats = injected ? liveness->stats() : no_injection_stats;
   // Faults degrade the board through the injector's refresh faults; the
@@ -219,7 +235,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   // Retry-backoff penalties by arrival index (tags are arrival indices, so
   // the penalty survives requeues and attaches to the final completion).
   std::vector<double> penalty;
-  if (injected) penalty.assign(trial_workload.jobs, 0.0);
+  if (record_at_completion) penalty.assign(trial_workload.jobs, 0.0);
   std::vector<queueing::CompletedJob> done;
 
   // Requeue targets are uniform over the servers actually up at the crash.
@@ -236,17 +252,12 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
 
   // After each batch of publishes, feed dispatcher d's membership what the
   // reports say: every server that was actually up delivered its entry;
-  // dead servers' entries went silent. Dead-but-probed servers consume their
-  // probe budget here too, on the same deterministic schedule.
+  // dead servers' entries went silent.
   const auto note_reports = [&](int d, double when) {
     health::Membership& membership = memberships[static_cast<std::size_t>(d)];
     const std::span<const std::uint8_t> up = liveness->up();
     for (std::size_t i = 0; i < n; ++i) {
-      if (up[i] != 0) {
-        membership.note_report(static_cast<int>(i), when);
-      } else if (membership.probe_due(static_cast<int>(i), when)) {
-        membership.note_probe(static_cast<int>(i), when);
-      }
+      if (up[i] != 0) membership.note_report(static_cast<int>(i), when);
     }
   };
 
@@ -301,9 +312,53 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
   };
 
-  const auto record_completions = [&] {
-    for (const queueing::CompletedJob& c : done) {
+  // Appends every completion retired since the last drain to `done` and,
+  // when responses are recorded at completion, records the new ones.
+  const auto drain_completions = [&] {
+    const std::size_t first = done.size();
+    cluster.drain_completions(done);
+    if (!record_at_completion) return;
+    for (std::size_t i = first; i < done.size(); ++i) {
+      const queueing::CompletedJob& c = done[i];
       metrics.record_indexed(c.tag, c.response + penalty[c.tag]);
+    }
+  };
+
+  // Receiver-driven rebalancing: `thief` just went idle, probes
+  // kStealProbes peers uniformly (itself excluded) with fresh state, and
+  // steals the youngest waiting job of the most backlogged one.
+  const auto try_steal = [&](int thief, double when) {
+    int victim = -1;
+    int most_waiting = kMinWaitingToSteal - 1;
+    for (int probe = 0; probe < kStealProbes; ++probe) {
+      int peer = static_cast<int>(steal_rng.next_below(n - 1));
+      if (peer >= thief) ++peer;
+      const int waiting = cluster.loads()[static_cast<std::size_t>(peer)] - 1;
+      if (waiting > most_waiting) {
+        most_waiting = waiting;
+        victim = peer;
+      }
+    }
+    if (victim < 0) return;
+    cluster.steal(when, victim, thief, config.migration_delay);
+    // The thief is busy again: a token it queued must not dangle.
+    if (jiq) directory->invalidate(thief);
+  };
+
+  // Retires the departures at `when` (the cluster's next departure), then
+  // lets every server they left idle try to steal, in server order.
+  const auto step_departures = [&](double when) {
+    cluster.advance_to(when);
+    const std::size_t first = done.size();
+    drain_completions();
+    for (std::size_t i = first; i < done.size(); ++i) {
+      const int server = done[i].server;
+      // The drain lists a server's completions together.
+      if (i > first && done[i - 1].server == server) continue;
+      if (cluster.loads()[static_cast<std::size_t>(server)] == 0 &&
+          cluster.up(server)) {
+        try_steal(server, when);
+      }
     }
   };
 
@@ -311,17 +366,28 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
   double t = 0.0;
   for (std::uint64_t job = 0; job < trial_workload.jobs; ++job) {
     t = trial_workload.next_arrival(t, rng);
+    done.clear();
 
-    if (injected) {
-      // Ground-truth transitions and board refreshes interleave in global
-      // time order: a board boundary before a crash must measure the
-      // pre-crash cluster (at a tie the measurement wins — the last report
-      // escapes just before the server dies).
-      while (liveness->next_transition_time() <= t) {
-        const double when = liveness->next_transition_time();
+    if (injected || stealing) {
+      // Ground-truth transitions, departures (stealing only: each one may
+      // leave a thief idle) and board refreshes interleave in global time
+      // order: a board boundary before a crash or a steal must measure the
+      // cluster before it (at a tie the measurement wins — the last report
+      // escapes just before the server dies). A departure at a transition's
+      // instant retires first, as a crash retires it first.
+      for (;;) {
+        const double transition =
+            injected ? liveness->next_transition_time() : kNever;
+        const double departure = stealing ? cluster.next_departure() : kNever;
+        const double when = std::min(transition, departure);
+        if (when > t) break;
         sync_boards_to(when);
-        liveness->advance_to(cluster, when, requeue);
-        invalidate_dead_tokens();
+        if (departure <= transition) {
+          step_departures(when);
+        } else {
+          liveness->advance_to(cluster, when, requeue);
+          invalidate_dead_tokens();
+        }
       }
     }
     sync_boards_to(t);
@@ -343,9 +409,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
       // Retire and drain completions up to t before the dispatch decision:
       // a server that went idle before this arrival must be claimable now.
       cluster.advance_to(t);
-      done.clear();
-      cluster.drain_completions(done);
-      if (injected) record_completions();
+      drain_completions();
       if (jiq) {
         // Idle detection: a drained server whose queue is empty at t went
         // idle at its last departure and queues a token. Offers happen in
@@ -400,8 +464,13 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
       // retired every server believed down (reconcile_levels).
       context.info_version ^= liveness_changes(di) << 32;
       context.alive = believed_up(di);
-      context.levels_exclude_quarantined = bucketed;
       context.sanitize_events = &stats.sanitizer_fixes;
+      if (bucketed) {
+        STALE_AUDIT(check::audit_dead_servers_retired(
+            context.alive, *context.levels,
+            "run_multi_dispatcher_trial: a server believed down is still "
+            "in the level index"));
+      }
     }
     context.trace = trace;
 
@@ -455,7 +524,7 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
     if (dispatched) {
       const double size = trial_workload.sizes->sample(rng);
-      if (injected) {
+      if (record_at_completion) {
         cluster.assign_tagged(t, server, size, job, t);
         penalty[job] = backoff_penalty;
       } else if (tracking) {
@@ -473,14 +542,20 @@ TrialResult run_multi_dispatcher_trial(const ExperimentConfig& config,
     }
   }
 
-  if (injected) {
+  if (stealing) {
+    // Idle servers keep stealing while the cluster drains.
+    for (double when = cluster.next_departure(); when != kNever;
+         when = cluster.next_departure()) {
+      done.clear();
+      step_departures(when);
+    }
+  }
+  if (record_at_completion) {
     // Freeze the injected processes and let every in-flight job finish so
-    // its response is recorded (requeued jobs may complete long after
-    // arrival).
+    // its response is recorded (requeued and stolen jobs may complete long
+    // after arrival).
     cluster.advance_to(cluster.latest_pending_departure());
-    done.clear();
-    cluster.drain_completions(done);
-    record_completions();
+    drain_completions();
   }
   if (jiq) {
     STALE_AUDIT(directory->audit("run_multi_dispatcher_trial: end of trial"));

@@ -6,9 +6,9 @@
 // Join-Idle-Queue enters as the alternative with no staleness channel at
 // all. Update-on-access is one more information model: its clients are one
 // dispatcher reading, per request, what the client's previous reply carried.
-// Fault injection and membership churn are components of the same arrival
-// loop, not separate engines. run_trial() validates, then runs every config
-// here.
+// Fault injection, membership churn and receiver-driven stealing are
+// components of the same arrival loop, not separate engines. run_trial()
+// validates, then runs every config here.
 #pragma once
 
 #include <cstdint>

@@ -108,7 +108,7 @@ int AggressiveLiPolicy::select_bucketed(const DispatchContext& context,
                                                        jobs_elapsed);
   // Equivalence vs the vector path only holds at full membership; with
   // quarantined servers retired from the index the representations diverge
-  // by design (see policy.h: levels_exclude_quarantined).
+  // by design (see policy.h: DispatchContext::levels).
   STALE_AUDIT(context.levels->retired_count() == 0
                   ? core::audit_aggressive_equivalence(
                         *bucketed_, count, context.loads, jobs_elapsed,

@@ -54,7 +54,7 @@ int HybridLiPolicy::select_bucketed(const DispatchContext& context,
         core::hybrid_li_first_interval_level_masses(hist);
     // Equivalence vs the vector path only holds at full membership; with
     // quarantined servers retired from the index the representations diverge
-    // by design (see policy.h: levels_exclude_quarantined).
+    // by design (see policy.h: DispatchContext::levels).
     STALE_AUDIT(context.levels->retired_count() == 0
                     ? core::audit_hybrid_equivalence(
                           masses, first_interval_jobs_, context.loads,

@@ -73,14 +73,11 @@ struct DispatchContext {
 
   // Bucketed view of `loads` (same snapshot, counted by level), or null when
   // the driver runs the vector representation. Policies with a bucketed fast
-  // path use it via use_bucketed(); everything else ignores it.
+  // path use it via use_bucketed(); everything else ignores it. Under a
+  // liveness mask the index has retired every server the mask marks down
+  // (the trial engine reconciles it, audited there), so the counted
+  // representation IS the candidate set and needs no per-server reshaping.
   const sim::LevelIndex* levels = nullptr;
-
-  // True when `levels` already excludes every server the `alive` mask marks
-  // down (the trial engine retires them from the index). Lets the bucketed
-  // fast path stay on under faults and churn: the counted representation
-  // then IS the candidate set, so no per-server reshaping is needed.
-  bool levels_exclude_quarantined = false;
 
   // Trace sink (obs/trace_sink.h), null when tracing is off. Probabilistic
   // policies report the vector they are about to sample from via
@@ -94,14 +91,9 @@ struct DispatchContext {
 
   bool periodic() const { return phase_length > 0.0; }
 
-  // Bucketed fast path applies when a level index is provided and either no
-  // liveness mask is active or the index already excludes every server the
-  // mask marks down (the trial engine retires them under faults and churn).
-  // A mask the index does not reflect reshapes probabilities per server,
-  // which the counted representation cannot express.
-  bool use_bucketed() const {
-    return levels != nullptr && (alive.empty() || levels_exclude_quarantined);
-  }
+  // Bucketed fast path applies whenever a level index is provided (the live
+  // dispatcher never provides one).
+  bool use_bucketed() const { return levels != nullptr; }
 
   bool known_dead(int server) const {
     return !alive.empty() && alive[static_cast<std::size_t>(server)] == 0;

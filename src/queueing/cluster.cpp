@@ -151,6 +151,39 @@ void Cluster::recover(double t, int server) {
   servers_[static_cast<std::size_t>(server)].recover(t);
 }
 
+double Cluster::steal(double t, int victim, int thief,
+                      double migration_delay) {
+  if (victim < 0 || victim >= size() || thief < 0 || thief >= size() ||
+      victim == thief) {
+    throw std::out_of_range("Cluster::steal: bad server index");
+  }
+  advance_to(t);
+  const auto v = static_cast<std::size_t>(victim);
+  const auto th = static_cast<std::size_t>(thief);
+  const DisplacedJob job = servers_[v].take_youngest(t);
+  const double departure = servers_[th].assign_tagged(
+      t, job.size, job.tag, job.born, migration_delay);
+  refresh_load(v);
+  refresh_load(th);
+  schedule_front(th);
+  STALE_AUDIT(check::audit_level_histogram(histogram_.counts(),
+                                           histogram_.total(), loads_,
+                                           "Cluster::steal"));
+  return departure;
+}
+
+double Cluster::next_departure() {
+  // Superseded heap entries (see advance_to) are dropped on the way.
+  while (!due_.empty() &&
+         scheduled_[static_cast<std::size_t>(due_.top().server)] !=
+             due_.top().when) {
+    due_.pop();
+  }
+  // advance_to() retired every departure up to the cluster's clock.
+  STALE_DCHECK(due_.empty() || due_.top().when >= advanced_time_);
+  return due_.empty() ? kNever : due_.top().when;
+}
+
 void Cluster::drain_completions(std::vector<CompletedJob>& out) {
   // Ascending server order keeps the drain identical to a full scan; the
   // caller sums responses in this order, so the order is part of the result.

@@ -13,7 +13,10 @@
 //
 // Fault-aware runs (src/fault/) enable job tracking, crash/recover individual
 // servers, and drain completed jobs (tag + response time) instead of trusting
-// the departure time precomputed at dispatch.
+// the departure time precomputed at dispatch. Receiver-driven rebalancing
+// rides on the same tracking: steal() moves a waiting job, tag and all, to
+// an idle server, and next_departure() lets the engine step to each idle
+// instant.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +87,17 @@ class Cluster {
   bool up(int server) const {
     return servers_.at(static_cast<std::size_t>(server)).up();
   }
+
+  // Receiver-driven rebalancing (requires job tracking): at time `t`, moves
+  // `victim`'s youngest waiting job to `thief`, which spends
+  // `migration_delay` on the transfer before serving it. The job keeps its
+  // tag and born time; the victim's earlier departures do not move. Returns
+  // the job's departure from the thief.
+  double steal(double t, int victim, int thief, double migration_delay);
+
+  // Earliest pending departure across servers, +inf when every queue is
+  // empty: the next instant at which advance_to() changes a load.
+  double next_departure();
 
   // Moves every completion retired since the last drain into `out`, in
   // server-index order (deterministic for a fixed event sequence). Visits

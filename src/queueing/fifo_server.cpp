@@ -113,7 +113,7 @@ double FifoServer::assign(double t, double size) {
 }
 
 double FifoServer::assign_tagged(double t, double size, std::uint64_t tag,
-                                 double born) {
+                                 double born, double setup) {
   if (!up_) {
     throw std::logic_error("FifoServer::assign_tagged: server is down");
   }
@@ -123,7 +123,7 @@ double FifoServer::assign_tagged(double t, double size, std::uint64_t tag,
   }
   advance_to(t);
   const double start = departures_.empty() ? t : departures_.back();
-  const double departure = start + size / rate_;
+  const double departure = start + setup + size / rate_;
   if (departures_.empty()) busy_since_ = t;
   departures_.push_back(departure);
   meta_.push_back({tag, size, born});
@@ -178,6 +178,24 @@ void FifoServer::recover(double t) {
   if (trace_) trace_->on_server_up(t, trace_index_);
   STALE_AUDIT(audit_server(departures_, advanced_time_, track_jobs_,
                            meta_.size()));
+}
+
+DisplacedJob FifoServer::take_youngest(double t) {
+  if (!track_jobs_) {
+    throw std::logic_error(
+        "FifoServer::take_youngest: enable_job_tracking() first");
+  }
+  advance_to(t);
+  if (departures_.size() < 2) {
+    throw std::logic_error("FifoServer::take_youngest: no waiting job");
+  }
+  const JobMeta meta = meta_.back();
+  departures_.pop_back();
+  meta_.pop_back();
+  record(t, length());
+  STALE_AUDIT(audit_server(departures_, advanced_time_, track_jobs_,
+                           meta_.size()));
+  return {meta.tag, meta.size, meta.born};
 }
 
 int FifoServer::length_at(double t) const {

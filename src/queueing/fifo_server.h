@@ -39,7 +39,8 @@ struct CompletedJob {
   int server = -1;          // filled by Cluster::drain_completions
 };
 
-// A job displaced by a crash, carrying what a dispatcher needs to requeue it.
+// A job displaced by a crash (or taken by a steal), carrying what a
+// dispatcher needs to requeue it.
 struct DisplacedJob {
   std::uint64_t tag = 0;
   double size = 0.0;        // full service demand (restart semantics)
@@ -64,8 +65,10 @@ class FifoServer {
 
   // Tagged variant used by fault-aware runs: requires job tracking. `born`
   // is the time the job's response clock started (its original arrival, for
-  // requeued jobs possibly long before `t`).
-  double assign_tagged(double t, double size, std::uint64_t tag, double born);
+  // requeued jobs possibly long before `t`). A migrated job first spends
+  // `setup` (its transfer) on the server before its service starts.
+  double assign_tagged(double t, double size, std::uint64_t tag, double born,
+                       double setup = 0.0);
 
   // Queue length (jobs in service + waiting) after all departures <= the
   // last advanced time have been retired.
@@ -102,6 +105,13 @@ class FifoServer {
 
   // Brings a crashed server back at time `t` with an empty queue.
   void recover(double t);
+
+  // Removes the youngest waiting job (the back of a queue holding at least
+  // one job behind the one in service) at time `t` and returns it with its
+  // full service demand; the departures ahead of it do not move. Requires
+  // job tracking. Fires no trace event: the receiving server's assign
+  // reports the job.
+  DisplacedJob take_youngest(double t);
 
   bool up() const { return up_; }
 

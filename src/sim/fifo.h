@@ -1,7 +1,6 @@
 // A FIFO queue in one contiguous power-of-two ring: the container behind
 // every per-server queue of the simulator (a FifoServer's pending departures
-// and job metadata, the individual board's undelivered heartbeats, the
-// stealing ablation's run queues).
+// and job metadata, the individual board's undelivered heartbeats).
 //
 // The point is the empty state. A libstdc++ std::deque allocates a 64-B map
 // and a 512-B node as soon as it is constructed, so a cluster of 10^5 idle

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -228,6 +229,57 @@ TEST(ClusterTest, LoadsAtCoversServersTheHeapSkipped) {
   cluster.loads_at(2.0, past);
   EXPECT_EQ(past, (std::vector<int>{0, 1, 0}));
   EXPECT_THROW(cluster.loads_at(2.5, past), std::invalid_argument);
+}
+
+TEST(ClusterTest, StealMovesTheYoungestWaitingJob) {
+  Cluster cluster(3, /*history_window=*/100.0);
+  cluster.enable_job_tracking();
+  EXPECT_EQ(cluster.next_departure(), std::numeric_limits<double>::infinity());
+  cluster.assign_tagged(0.0, 0, 1.0, 10, 0.0);  // departs 1
+  cluster.assign_tagged(0.0, 0, 2.0, 11, 0.0);  // departs 3
+  cluster.assign_tagged(0.0, 0, 3.0, 12, 0.0);  // departs 6
+  EXPECT_DOUBLE_EQ(cluster.next_departure(), 1.0);
+
+  // Server 1 takes tag 12 at 0.5, spends 0.25 in transit, then serves it.
+  EXPECT_DOUBLE_EQ(cluster.steal(0.5, 0, 1, 0.25), 3.75);
+  EXPECT_EQ(cluster.loads()[0], 2);
+  EXPECT_EQ(cluster.loads()[1], 1);
+  const auto& counts = cluster.level_histogram().counts();
+  EXPECT_EQ(counts[0], 1);
+  EXPECT_EQ(counts[1], 1);
+  EXPECT_EQ(counts[2], 1);
+  EXPECT_EQ(counts[3], 0);
+  // The victim's earlier departures did not move.
+  EXPECT_DOUBLE_EQ(cluster.next_departure(), 1.0);
+  EXPECT_DOUBLE_EQ(cluster.server(0).last_pending_departure(), 3.0);
+
+  // A server holding only the job in service has nothing waiting to take,
+  // and a server cannot rob itself.
+  cluster.assign_tagged(0.5, 2, 1.0, 13, 0.5);
+  EXPECT_THROW(cluster.steal(0.6, 2, 1, 0.0), std::logic_error);
+  EXPECT_THROW(cluster.steal(0.6, 0, 0, 0.0), std::out_of_range);
+
+  cluster.advance_to(10.0);
+  std::vector<CompletedJob> done;
+  cluster.drain_completions(done);
+  ASSERT_EQ(done.size(), 4u);
+  for (const CompletedJob& job : done) {
+    if (job.tag != 12) continue;
+    EXPECT_EQ(job.server, 1);
+    EXPECT_DOUBLE_EQ(job.departure, 3.75);
+    EXPECT_DOUBLE_EQ(job.response, 3.75);  // born at 0, not at the steal
+  }
+  EXPECT_DOUBLE_EQ(cluster.server(0).busy_time(), 3.0);
+  EXPECT_DOUBLE_EQ(cluster.server(1).busy_time(), 3.25);  // transfer is busy
+
+  std::vector<int> loads;
+  cluster.loads_at(0.4, loads);
+  EXPECT_EQ(loads, (std::vector<int>{3, 0, 0}));
+  cluster.loads_at(0.55, loads);
+  EXPECT_EQ(loads, (std::vector<int>{2, 1, 1}));
+  cluster.loads_at(3.5, loads);
+  EXPECT_EQ(loads, (std::vector<int>{0, 1, 0}));
+  EXPECT_EQ(cluster.next_departure(), std::numeric_limits<double>::infinity());
 }
 
 TEST(ResponseMetricsTest, DiscardsWarmupJobs) {

@@ -2,8 +2,9 @@
 // of small configurations — each board model and representation, churn,
 // every fault class (crash faults also on the bucketed board, loss also
 // beside churn), an online estimator, a non-Poisson arrival spec, a few
-// multi-dispatcher runs, and update-on-access (plain, bursty, and a run that
-// min_jobs_per_client extends) — compared against
+// multi-dispatcher runs, update-on-access (plain, bursty, and a run that
+// min_jobs_per_client extends) and receiver-driven stealing beside each
+// model, crash faults, churn and JIQ — compared against
 // tests/golden/engine_parity.csv. Doubles are stored as hex floats, so a
 // match is a match of every bit, not a tolerance. Any change to a draw, a
 // tie-break or a summation order in the arrival loop fails here.
@@ -157,6 +158,46 @@ const std::vector<ParityCase>& parity_cases() {
          // 27 clients x 150 jobs extends the 3,000-job run to 4,050.
          c.model = UpdateModel::kUpdateOnAccess;
          c.min_jobs_per_client = 150;
+       }},
+      {"stealing_periodic_k_subset16",
+       [](ExperimentConfig& c) {
+         c.policy = "k_subset:16";
+         c.stealing = true;
+         c.migration_delay = 0.1;
+       }},
+      {"stealing_individual_bucketed",
+       [](ExperimentConfig& c) {
+         c.model = UpdateModel::kIndividual;
+         c.board_repr = BoardRepr::kBucketed;
+         c.stealing = true;
+       }},
+      {"stealing_continuous",
+       [](ExperimentConfig& c) {
+         c.model = UpdateModel::kContinuous;
+         c.stealing = true;
+       }},
+      {"stealing_update_on_access",
+       [](ExperimentConfig& c) {
+         c.model = UpdateModel::kUpdateOnAccess;
+         c.stealing = true;
+       }},
+      {"stealing_fault_crash",
+       [](ExperimentConfig& c) {
+         c.fault = fault::FaultSpec::parse(std::string(kCrash) + ",loss=0.2");
+         c.stealing = true;
+         c.migration_delay = 0.1;
+       }},
+      {"stealing_multi_d3_churn",
+       [](ExperimentConfig& c) {
+         c.dispatchers = 3;
+         c.churn = health::ChurnSpec::parse(kChurn);
+         c.stealing = true;
+       }},
+      {"stealing_jiq_d2",
+       [](ExperimentConfig& c) {
+         c.dispatchers = 2;
+         c.policy = "jiq";
+         c.stealing = true;
        }},
   };
   return kCases;

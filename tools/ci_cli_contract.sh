@@ -3,7 +3,8 @@
 # on stdout, one malformed numeric flag exits nonzero with an error on
 # stderr that names the flag, and staleload_sim refuses model-only flags on
 # a model that does not read them and fault-spec crash keys beside a churn
-# spec.
+# spec. One bench, reached through the sibling bench/ directory, must name
+# the config field a bad value fails.
 #
 #   tools/ci_cli_contract.sh build/tools
 set -u
@@ -43,6 +44,10 @@ bad staleload_loadgen --max-jobs --target 127.0.0.1:9 --max-jobs -1
 bad playdiff --tol-response --tol-response 10x a.json b.json
 bad plot_sweep --width --width 10x
 bad bench_diff --max-regress --max-regress 10x a.json b.json
+# The benches build beside the tools: a migration delay the trial cannot
+# use is refused by the config field's name.
+bad ../bench/ablation_receiver_driven migration_delay --fast \
+  --migration-delay -1
 
 # rejected FIELD ARGS...: staleload_sim must refuse a flag that its --model
 # does not read (the run would print output identical to the run without
